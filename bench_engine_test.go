@@ -156,6 +156,7 @@ func benchEngineThroughput(b *testing.B, method SimMethod) {
 	for _, shards := range benchShardCounts() {
 		b.Run(fmt.Sprintf("n=%d/workers=%d", n, shards), func(b *testing.B) {
 			e := NewEngine(inst, EngineConfig{Shards: shards, Method: method, ClickSeed: 7})
+			defer e.Close()
 			e.Serve(QueryStream(inst, 9, warmup))
 			queries := QueryStream(inst, 11, b.N)
 			b.ReportAllocs()
@@ -198,7 +199,7 @@ func benchMarketSteadyState(b *testing.B, method SimMethod) {
 func benchMarketSteadyStateCfg(b *testing.B, name string, gen func() *SimInstance, method SimMethod, pricing SimPricing, warmup int) {
 	b.Run(name, func(b *testing.B) {
 		inst := gen()
-		w := NewSimWorldPriced(inst, method, pricing, 7)
+		w := NewSimWorldOpts(inst, SimWorldOpts{Method: method, Pricing: pricing, ClickSeed: 7})
 		queries := QueryStream(inst, 9, warmup+b.N)
 		for _, q := range queries[:warmup] {
 			w.Run(q)
@@ -305,8 +306,8 @@ func BenchmarkMarketSteadyStateBudget(b *testing.B) {
 			const n, warmup = 1000, 2000
 			inst := GenerateInstance(42, n, DefaultSlots, DefaultKeywords)
 			AttachBudgets(43, inst, 1000)
-			w := NewSimWorldBudget(inst, sub.method, PricingGSP, 7,
-				BudgetConfig{Policy: PolicyHard, RefreshEvery: 64})
+			w := NewSimWorldOpts(inst, SimWorldOpts{Method: sub.method, ClickSeed: 7,
+				Lane: NewBudgetLedger(inst, 1, BudgetConfig{Policy: PolicyHard, RefreshEvery: 64}).Lane(0)})
 			queries := QueryStream(inst, 9, warmup+b.N)
 			for _, q := range queries[:warmup] {
 				w.Run(q)
@@ -339,8 +340,8 @@ func BenchmarkMarketSteadyStateBudgetJournal(b *testing.B) {
 			const n, warmup = 1000, 2000
 			inst := GenerateInstance(42, n, DefaultSlots, DefaultKeywords)
 			AttachBudgets(43, inst, 1000)
-			w := NewSimWorldBudget(inst, sub.method, PricingGSP, 7,
-				BudgetConfig{Policy: PolicyHard, RefreshEvery: 64})
+			w := NewSimWorldOpts(inst, SimWorldOpts{Method: sub.method, ClickSeed: 7,
+				Lane: NewBudgetLedger(inst, 1, BudgetConfig{Policy: PolicyHard, RefreshEvery: 64}).Lane(0)})
 			jw, err := OpenSpendJournal(b.TempDir(), SpendJournalOptions{SnapshotEvery: 1 << 30})
 			if err != nil {
 				b.Fatal(err)

@@ -117,7 +117,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/strategy"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -191,7 +190,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if m == strategy.MethodHeavy && *slots > 20 {
+	if m == engine.MethodHeavy && *slots > 20 {
 		fmt.Fprintf(os.Stderr, "auctionsim: -method heavy enumerates 2^slots patterns and needs -slots <= 20, got %d\n", *slots)
 		os.Exit(2)
 	}
@@ -266,7 +265,7 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	var inst *workload.Instance
-	if m == strategy.MethodHeavy {
+	if m == engine.MethodHeavy {
 		inst = workload.GenerateHeavy(rng, *n, *slots, *keywords, *heavyFrac, *shadow)
 	} else {
 		inst = workload.Generate(rng, *n, *slots, *keywords)
@@ -388,7 +387,7 @@ func main() {
 		return
 	}
 
-	wo := strategy.WorldOpts{Method: m, Pricing: pr, ClickSeed: *seed + 2, HeavyParallelism: *heavyPar}
+	wo := engine.MarketOpts{Method: m, Pricing: pr, ClickSeed: *seed + 2, HeavyParallelism: *heavyPar}
 	if bcfg.Policy != budget.PolicyOff {
 		// A sequential world owns a single-lane ledger: cross-keyword
 		// budgets are exact here (one market sees all keywords).
@@ -404,7 +403,7 @@ func main() {
 		}
 		wo.Lane = led.Lane(0)
 	}
-	w := strategy.NewWorldOpts(inst, wo)
+	w := engine.NewMarketOpts(inst, wo)
 
 	fmt.Printf("auctionsim: n=%d k=%d keywords=%d method=%v pricing=%v auctions=%d\n",
 		*n, *slots, *keywords, m, pr, *auctions)
@@ -781,37 +780,37 @@ func parsePolicy(s string) (stream.Policy, error) {
 	return 0, fmt.Errorf("unknown overload policy %q (want block, shed)", s)
 }
 
-func parseMethod(s string) (strategy.Method, error) {
+func parseMethod(s string) (engine.Method, error) {
 	switch strings.ToUpper(s) {
 	case "LP":
-		return strategy.MethodLP, nil
+		return engine.MethodLP, nil
 	case "H":
-		return strategy.MethodH, nil
+		return engine.MethodH, nil
 	case "RH":
-		return strategy.MethodRH, nil
+		return engine.MethodRH, nil
 	case "RHTALU", "RH-TALU", "TALU":
-		return strategy.MethodRHTALU, nil
+		return engine.MethodRHTALU, nil
 	case "RH-PARALLEL", "RHPARALLEL":
-		return strategy.MethodRHParallel, nil
+		return engine.MethodRHParallel, nil
 	case "HEAVY":
-		return strategy.MethodHeavy, nil
+		return engine.MethodHeavy, nil
 	}
 	return 0, fmt.Errorf("unknown method %q (want lp, h, rh, rh-talu, rh-parallel, heavy)", s)
 }
 
-func parsePricing(s string) (strategy.Pricing, error) {
+func parsePricing(s string) (engine.Pricing, error) {
 	switch strings.ToUpper(s) {
 	case "GSP":
-		return strategy.PricingGSP, nil
+		return engine.PricingGSP, nil
 	case "VCG":
-		return strategy.PricingVCG, nil
+		return engine.PricingVCG, nil
 	}
 	return 0, fmt.Errorf("unknown pricing %q (want gsp, vcg)", s)
 }
 
 // spendTotals extracts per-advertiser total spend from a sequential
 // world.
-func spendTotals(inst *workload.Instance, w *strategy.World) []float64 {
+func spendTotals(inst *workload.Instance, w *engine.Market) []float64 {
 	spent := make([]float64, inst.N)
 	copy(spent, w.Accounting().SpentTotal)
 	return spent

@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/broadmatch"
 	"repro/internal/engine"
-	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -107,10 +106,10 @@ func parseSizes(s string) []int {
 
 // measure runs one data point: a fresh market with n advertisers, T
 // auctions from a cold start, returning milliseconds per auction.
-func measure(method strategy.Method, n, T, slots, keywords int, seed int64) float64 {
+func measure(method engine.Method, n, T, slots, keywords int, seed int64) float64 {
 	inst := workload.Generate(newRand(seed), n, slots, keywords)
 	queries := inst.Queries(newRand(seed+1), T)
-	w := strategy.NewWorld(inst, method, seed+2)
+	w := engine.NewMarketOpts(inst, engine.MarketOpts{Method: method, ClickSeed: seed + 2})
 	start := time.Now()
 	for _, q := range queries {
 		w.RunAuction(q)
@@ -137,10 +136,10 @@ func fig12(T int, sizes []int, lpmax, lpAuctions, slots, keywords int, seed int6
 		if n > lpmax {
 			continue
 		}
-		ms := measure(strategy.MethodLP, n, lpAuctions, slots, keywords, seed)
-		fmt.Printf("%v\t%d\t%.3f\n", strategy.MethodLP, n, ms)
+		ms := measure(engine.MethodLP, n, lpAuctions, slots, keywords, seed)
+		fmt.Printf("%v\t%d\t%.3f\n", engine.MethodLP, n, ms)
 	}
-	for _, m := range []strategy.Method{strategy.MethodH, strategy.MethodRH, strategy.MethodRHTALU} {
+	for _, m := range []engine.Method{engine.MethodH, engine.MethodRH, engine.MethodRHTALU} {
 		for _, n := range sizes {
 			ms := measure(m, n, T, slots, keywords, seed)
 			fmt.Printf("%v\t%d\t%.3f\n", m, n, ms)
@@ -208,7 +207,7 @@ func fig13(T int, sizes []int, slots, keywords int, seed int64) {
 	fmt.Println("# Figure 13: reducing program evaluation")
 	fmt.Printf("# avg time per auction (ms) over %d auctions, k=%d slots, %d keywords\n", T, slots, keywords)
 	fmt.Println("method\tn\tms_per_auction")
-	for _, m := range []strategy.Method{strategy.MethodRH, strategy.MethodRHTALU} {
+	for _, m := range []engine.Method{engine.MethodRH, engine.MethodRHTALU} {
 		for _, n := range sizes {
 			ms := measure(m, n, T, slots, keywords, seed)
 			fmt.Printf("%v\t%d\t%.3f\n", m, n, ms)

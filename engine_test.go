@@ -26,6 +26,7 @@ func TestEngineMatchesSequentialWorld(t *testing.T) {
 
 			e := NewEngine(inst, EngineConfig{Shards: shards, QueueDepth: 16, Method: method, ClickSeed: clickSeed})
 			outs, st := e.ServeOutcomes(shuffled)
+			e.Close()
 			if st.Auctions != len(shuffled) {
 				t.Fatalf("method=%v shards=%d: served %d of %d auctions", method, shards, st.Auctions, len(shuffled))
 			}

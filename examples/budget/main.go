@@ -62,6 +62,7 @@ func main() {
 		ClickSeed: 7,
 		Budget:    ssa.BudgetConfig{Policy: ssa.PolicyHard, RefreshEvery: 1},
 	})
+	defer eng.Close()
 
 	// Language side: the advertiser's private database running the
 	// budget-guard program, with the provider-maintained amtSpent

@@ -14,7 +14,7 @@
 // The serving stack is also observable while it runs: every layer
 // records into the server's metrics registry (wait-free, zero
 // allocations on the auction path), ServeMetrics exposes it over
-// HTTP as Prometheus text plus pprof, and the stats-v2 wire call
+// HTTP as Prometheus text plus pprof, and the stats wire call
 // ships the server's latency histogram to the client, which can then
 // compute any percentile locally. The equivalent auctionsim flags are
 // -metrics-addr (engine/stream/serve/connect modes) and
@@ -103,18 +103,15 @@ func main() {
 		}
 	}
 
-	// The stats-v2 wire call carries the server's lifetime latency
+	// The stats wire call carries the server's lifetime latency
 	// histogram; rebuilding a snapshot from the sparse buckets lets
 	// the client compute any percentile without a metrics endpoint.
-	v2, err := c.StatsV2()
+	live, err := c.Stats()
 	if err != nil {
 		log.Fatal(err)
 	}
 	var hs ssa.LatencySnapshot
-	hs.Count, hs.Sum, hs.Max = v2.HistCount, v2.HistSum, v2.HistMax
-	for _, bk := range v2.Buckets {
-		hs.Counts[bk.Index] = bk.Count
-	}
+	live.Latency(&hs)
 	fmt.Printf("server latency over the wire: p50=%dns p99=%dns max=%dns (%d auctions)\n",
 		hs.Quantile(0.50), hs.Quantile(0.99), hs.Max, hs.Count)
 

@@ -146,7 +146,7 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	}
 	if string(hs[:len(wire.Magic)]) != wire.Magic {
 		nc.Close()
-		return nil, fmt.Errorf("client: bad handshake magic %q", hs[:len(wire.Magic)])
+		return nil, fmt.Errorf("client: handshake: peer speaks %q, this client speaks %q", hs[:len(wire.Magic)], wire.Magic)
 	}
 	switch hs[len(wire.Magic)] {
 	case wire.HandshakeOK:
@@ -454,44 +454,18 @@ func (c *Conn) Batch(qs []int) (wire.BatchResult, error) {
 	}
 }
 
-// Stats snapshots the server's connection-layer counters and the
-// stream layer beneath.
+// Stats snapshots the server's connection-layer counters, the stream
+// layer beneath, and the serving latency histogram (rebuild it with
+// ServerStats.Latency for any percentile). The returned Buckets slice
+// is caller-owned.
 func (c *Conn) Stats() (wire.ServerStats, error) {
 	return c.statsCall(wire.AppendStatsReq)
 }
 
-// StatsV2 snapshots the server like Stats and additionally carries
-// the serving latency histogram (totals plus nonzero buckets). The
-// returned Buckets slice is caller-owned.
-func (c *Conn) StatsV2() (wire.ServerStatsV2, error) {
-	si, err := c.acquire()
-	if err != nil {
-		return wire.ServerStatsV2{}, err
-	}
-	if err := c.send(si, wire.AppendStatsV2Req); err != nil {
-		return wire.ServerStatsV2{}, err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return wire.ServerStatsV2{}, err
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindStatsV2Result:
-		st := resp.StatsV2
-		// The decode reuses the slot's bucket slice; copy out.
-		st.Buckets = append([]wire.HistBucket(nil), resp.StatsV2.Buckets...)
-		return st, nil
-	case wire.KindError:
-		return wire.ServerStatsV2{}, fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return wire.ServerStatsV2{}, fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
-}
-
 // Drain asks the server to gracefully drain — intake stops, every
-// queued auction is served — and returns the final stats. The call
-// legitimately blocks for the full drain.
+// queued auction is served — and returns the final stats, the same
+// frame Stats returns. The call legitimately blocks for the full
+// drain.
 func (c *Conn) Drain() (wire.ServerStats, error) {
 	return c.statsCall(wire.AppendDrainReq)
 }
@@ -511,7 +485,10 @@ func (c *Conn) statsCall(enc func([]byte, uint64) []byte) (wire.ServerStats, err
 	defer c.release(si)
 	switch resp.Kind {
 	case wire.KindStatsResult:
-		return resp.Stats, nil
+		st := resp.Stats
+		// The decode reuses the slot's bucket slice; copy out.
+		st.Buckets = append([]wire.HistBucket(nil), st.Buckets...)
+		return st, nil
 	case wire.KindError:
 		return wire.ServerStats{}, fmt.Errorf("client: server error: %s", resp.Msg)
 	default:

@@ -15,8 +15,8 @@ func TestRunWeightedNeutralIsRun(t *testing.T) {
 	inst := workload.Generate(rand.New(rand.NewSource(42)), 60, 10, 4)
 	queries := inst.Queries(rand.New(rand.NewSource(7)), 400)
 	for _, method := range []Method{MethodRH, MethodRHTALU} {
-		a := NewMarket(inst, method, 11)
-		b := NewMarket(inst, method, 11)
+		a := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 11})
+		b := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 11})
 		for i, q := range queries {
 			oa := a.Run(q)
 			ob := b.RunWeighted(q, 1, 1)

@@ -248,8 +248,8 @@ func TestBudgetSteadyStateAllocs(t *testing.T) {
 		for _, pol := range []budget.Policy{budget.PolicyHard, budget.PolicyPaced} {
 			inst := workload.Generate(rand.New(rand.NewSource(96)), 300, workload.DefaultSlots, workload.DefaultKeywords)
 			workload.AttachBudgets(rand.New(rand.NewSource(97)), inst, 150)
-			m := NewMarketBudget(inst, method, PricingGSP, 7,
-				budget.NewLedger(inst.N, 1, inst.Budget, budget.Config{Policy: pol, RefreshEvery: 16, Horizon: 1000, Seed: 5}).Lane(0))
+			m := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 7,
+				Lane: budget.NewLedger(inst.N, 1, inst.Budget, budget.Config{Policy: pol, RefreshEvery: 16, Horizon: 1000, Seed: 5}).Lane(0)})
 			queries := inst.Queries(rand.New(rand.NewSource(98)), 2000)
 			for _, q := range queries {
 				m.Run(q)

@@ -17,26 +17,40 @@
 // concurrency contract: every keyword owns an independent Market
 // (bids, accounting, ROI statistics, and click randomness seeded by
 // KeywordSeed), keywords are assigned round-robin to shards, and each
-// shard is one worker goroutine consuming a bounded channel. Because
-// a keyword lives on exactly one shard and each shard drains its
-// queue in FIFO order, the auctions of any one keyword execute
-// sequentially in arrival order no matter how many shards exist —
-// which yields the engine's central guarantee:
+// shard is one persistent worker goroutine consuming a bounded
+// channel. Because a keyword lives on exactly one shard and each
+// shard drains its queue in FIFO order, the auctions of any one
+// keyword execute sequentially in arrival order no matter how many
+// shards exist — which yields the engine's central guarantee (below).
+//
+// # The serving loop
+//
+// There is one place an auction is dequeued, timed, run and observed:
+// Engine.worker. A queue entry is either an auction (keyword,
+// broad-match relevance and weight, optional completion callback) or a
+// control item — "run this function on the shard goroutine between
+// auctions". Batch callers (Serve, ServeOutcomes, ServeText) enqueue
+// every query and then a control item per shard that publishes the
+// shard's batch totals and budget spend and releases the caller: a
+// barrier. The streaming layer (internal/stream) enqueues through
+// Enqueue with its admission policy and publishes churn, budget-reset
+// and flush fences through Control; batch ResetBudgets rides the same
+// item. Workers start in New and stop in Close.
 //
 // # Sequential equivalence
 //
 // For every keyword q, the outcome sequence the engine produces is
 // identical — allocations, prices, clicks, revenue, and bid
-// trajectories, bit for bit — to a sequential strategy.World over the
-// same instance and method, seeded with KeywordSeed(cfg.ClickSeed, q),
+// trajectories, bit for bit — to a sequential Market over the same
+// instance and method, seeded with KeywordSeed(cfg.ClickSeed, q),
 // fed only q's queries. Shard count and queue depth are pure
 // performance knobs; they cannot change any outcome. The -race
 // equivalence test in this package pins exactly this contract.
 //
 // The price of the partition is that an advertiser's spend total is
 // tracked per keyword market rather than summed across keywords (the
-// cross-keyword coupling a single sequential World has). Section V's
-// evaluation never exercises that coupling — each query involves one
+// cross-keyword coupling one sequential market over all keywords
+// has). Section V's evaluation never exercises that coupling — each query involves one
 // keyword — and the per-keyword ROI statistics the Figure 5 strategy
 // steers by are per-keyword already. Daily budgets, the one
 // cross-keyword constraint the paper's language makes first-class,
@@ -47,17 +61,16 @@
 //
 // Memory: each market carries full-width per-advertiser state (the
 // Figure 5 strategy's roiRange scans every keyword's ROI, so a market
-// equivalent to a sequential World cannot drop the other columns),
+// equivalent to a sequential one cannot drop the other columns),
 // making the engine O(n·keywords²) overall. That is comfortable at
 // the Section V catalog size (10 keywords) the engine currently
 // targets; keyword-scoped markets for large catalogs are a ROADMAP
-// item and imply a (documented) departure from World equivalence.
+// item and imply a (documented) departure from that equivalence.
 package engine
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,9 +90,10 @@ type Config struct {
 	// partitions). 0 means min(GOMAXPROCS, keywords). More shards than
 	// keywords is never useful; the constructor clamps.
 	Shards int
-	// QueueDepth is the per-shard bounded-channel capacity; the feeder
-	// blocks when a shard falls this far behind (backpressure rather
-	// than unbounded buffering). 0 means 256.
+	// QueueDepth is the per-shard bounded-channel capacity; a batch
+	// feeder blocks when a shard falls this far behind (backpressure
+	// rather than unbounded buffering) and the streaming layer applies
+	// its Block/Shed policy there. 0 means 256.
 	QueueDepth int
 	// Method selects the winner-determination pipeline (default
 	// MethodRH, the paper's scalable choice).
@@ -185,18 +199,18 @@ type Stats struct {
 	Elapsed    time.Duration
 	Throughput float64
 	// P50, P95, P99, Max summarize per-auction service latency
-	// (dequeue to outcome).
+	// (dequeue to outcome): quantiles of the engine's latency
+	// histogram over this call (a snapshot delta), so each is a bucket
+	// upper bound within 3.2% above the true value.
 	P50, P95, P99, Max time.Duration
 }
 
-// Engine is the concurrent sharded serving engine. Construct with New;
+// Engine is the concurrent sharded serving engine. Construct with New
+// (its shard workers are live immediately) and retire with Close.
 // Serve may be called repeatedly (markets persist and keep evolving,
-// exactly like a long-running World), but not concurrently — the
-// engine serializes whole batches, parallelism lives inside a batch.
-// The streaming layer (internal/stream) drives the same markets
-// through persistent workers instead: one goroutine per shard calling
-// ServeOne, with RebuildShard applying live advertiser churn at
-// auction boundaries.
+// exactly like a long-running sequential market), but not concurrently
+// — the engine serializes whole batches, parallelism lives inside a
+// batch.
 type Engine struct {
 	inst    *workload.Instance
 	cfg     Config
@@ -216,17 +230,44 @@ type Engine struct {
 	met    *Metrics
 	tracer *obs.Tracer
 
-	mu        sync.Mutex // serializes Serve calls
+	queues []chan task // one bounded queue per shard
+	totals []shardTotals
+	wg     sync.WaitGroup // the shard workers
+	// served, when set (OnServed), observes every auction on its shard
+	// goroutine after the per-query callback.
+	served func(shard int, out *Outcome, done time.Time)
+
+	mu        sync.Mutex // serializes Serve, ResetBudgets and Close
+	closed    bool
 	closeOnce sync.Once
 
-	// Persistent batch-serve scratch: the per-shard feed channels, the
-	// per-shard totals, and the latency sample buffer are allocated once
-	// (lazily, at the first serve) and reused by every subsequent batch,
-	// so a long-running server's steady per-batch cost is goroutine
-	// spawns only, not O(shards + len(queries)) fresh buffers.
-	chans  []chan int
-	totals []Totals
-	lat    []int64
+	// Batch scratch, guarded by mu: the barrier's wait group and its
+	// preallocated control function, and the latency-histogram
+	// snapshots whose difference is a Serve call's percentiles.
+	barrier       sync.WaitGroup
+	endBatch      func(shard int)
+	before, after obs.HistSnapshot
+}
+
+// task is one shard-queue entry: an auction for keyword q at
+// broad-match relevance rel and squashed weight w (both 1 under exact
+// routing) with an optional completion callback, or — when ctl is
+// non-nil — a control item the worker runs between auctions.
+type task struct {
+	q      int
+	rel, w float64
+	fn     func(*Outcome)
+	ctl    func(shard int)
+}
+
+// shardTotals is one worker's serving aggregate. live accumulates on
+// the worker goroutine only; a batch barrier moves it into batch,
+// which the Serve caller reads once the barrier has released it. The
+// pad keeps neighbouring shards' per-auction writes off one cache
+// line.
+type shardTotals struct {
+	live, batch Totals
+	_           [48]byte
 }
 
 // New builds an engine over inst. Every keyword gets an independent
@@ -272,14 +313,6 @@ func New(inst *workload.Instance, cfg Config) *Engine {
 	} else {
 		e.ledger.Store(e.newLedger(inst, true))
 	}
-	// The batch-serve scratch is allocated here rather than lazily so
-	// the queue-depth gauge below can read the channel slice without
-	// racing a first Serve call.
-	e.chans = make([]chan int, cfg.Shards)
-	for s := range e.chans {
-		e.chans[s] = make(chan int, cfg.QueueDepth)
-	}
-	e.totals = make([]Totals, cfg.Shards)
 	if cfg.TraceSample > 0 {
 		e.tracer = obs.NewTracer(obs.NewTraceRing(4096), cfg.TraceSample)
 	}
@@ -303,7 +336,100 @@ func New(inst *workload.Instance, cfg Config) *Engine {
 	if cfg.Broadmatch.Enabled {
 		e.router = broadmatch.New(names, cfg.Broadmatch)
 	}
+	e.endBatch = func(s int) {
+		e.FlushShard(s)
+		t := &e.totals[s]
+		t.batch, t.live = t.live, Totals{}
+		e.barrier.Done()
+	}
+	e.totals = make([]shardTotals, cfg.Shards)
+	e.queues = make([]chan task, cfg.Shards)
+	e.wg.Add(cfg.Shards)
+	for s := range e.queues {
+		e.queues[s] = make(chan task, cfg.QueueDepth)
+		go e.worker(s)
+	}
 	return e
+}
+
+// worker is shard s's persistent serving loop — the one place an
+// auction is dequeued, timed, run and observed. It exits when Close
+// closes the queue, after draining it and publishing the shard's
+// budget spend: once every worker has exited, the ledger snapshot
+// equals the exact per-market totals.
+func (e *Engine) worker(s int) {
+	defer e.wg.Done()
+	tot := &e.totals[s].live
+	for t := range e.queues[s] {
+		if t.ctl != nil {
+			t.ctl(s)
+			continue
+		}
+		t0 := time.Now()
+		out := e.ServeOneWeighted(t.q, t.rel, t.w, tot)
+		done := time.Now()
+		e.met.Latency.Record(int64(done.Sub(t0)))
+		if t.fn != nil {
+			t.fn(out)
+		}
+		if e.served != nil {
+			e.served(s, out, done)
+		}
+	}
+	e.FlushShard(s)
+}
+
+// Enqueue offers one auction for keyword q to its shard's queue: rel
+// and w are the broad-match relevance and squashed pricing weight
+// (1, 1 for a keyword query), and fn, when non-nil, runs exactly once
+// on the shard goroutine with the outcome (owned by q's market and
+// valid only for the duration of the call; Clone it to retain). With
+// wait set Enqueue blocks for queue space and returns true; without,
+// it never blocks and reports false when the queue is full. The
+// caller must not race Close.
+func (e *Engine) Enqueue(q int, rel, w float64, fn func(*Outcome), wait bool) bool {
+	return send(e.queues[e.shardOf[q]], task{q: q, rel: rel, w: w, fn: fn}, wait)
+}
+
+// Control queues ctl to run on shard s's goroutine between auctions,
+// in FIFO order with the auctions around it — the one control item
+// behind churn, budget-reset and flush fences and the batch barrier.
+// wait selects blocking as in Enqueue. The caller must not race Close.
+func (e *Engine) Control(s int, ctl func(shard int), wait bool) bool {
+	return send(e.queues[s], task{ctl: ctl}, wait)
+}
+
+func send(ch chan<- task, t task, wait bool) bool {
+	if wait {
+		ch <- t
+		return true
+	}
+	select {
+	case ch <- t:
+		return true
+	default:
+		return false
+	}
+}
+
+// QueueLen returns the number of entries waiting in shard s's queue.
+func (e *Engine) QueueLen(s int) int { return len(e.queues[s]) }
+
+// OnServed installs fn to observe every auction on its shard goroutine
+// (after the per-query callback), with the completion time the
+// latency histogram recorded. Call it before the first Enqueue; the
+// streaming layer hangs its throughput window and Config.Sink here.
+func (e *Engine) OnServed(fn func(shard int, out *Outcome, done time.Time)) { e.served = fn }
+
+// onEveryShard runs fn once on every shard goroutine, between
+// auctions, and waits for all of them. fn must end with
+// e.barrier.Done(). The caller holds mu.
+func (e *Engine) onEveryShard(fn func(shard int)) {
+	e.barrier.Add(len(e.queues))
+	for _, ch := range e.queues {
+		ch <- task{ctl: fn}
+	}
+	e.barrier.Wait()
 }
 
 // NewLedger builds a cross-keyword budget ledger for inst under the
@@ -368,9 +494,9 @@ func (e *Engine) laneOf(led *budget.Ledger, q int) *budget.Lane {
 func (e *Engine) Ledger() *budget.Ledger { return e.ledger.Load() }
 
 // FlushShard publishes the unpublished budget spend of every market
-// owned by shard s. Must run on the goroutine that currently owns the
-// shard (the streaming layer's in-band flush fences and drain); no-op
-// when budgets are off.
+// owned by shard s. Must run on shard s's goroutine (a control item:
+// the streaming layer's flush fences, the batch barrier, the worker's
+// exit); no-op when budgets are off.
 func (e *Engine) FlushShard(s int) {
 	for q := range e.markets {
 		if e.shardOf[q] == s {
@@ -381,11 +507,6 @@ func (e *Engine) FlushShard(s int) {
 
 // Shards returns the number of worker shards the engine runs.
 func (e *Engine) Shards() int { return e.cfg.Shards }
-
-// QueueDepth returns the per-shard bounded-queue capacity after the
-// constructor's defaulting — the streaming layer sizes its own
-// channels from it.
-func (e *Engine) QueueDepth() int { return e.cfg.QueueDepth }
 
 // ShardOf returns the shard that owns keyword q; all of q's auctions
 // run on that shard's goroutine, batch or streaming alike.
@@ -432,8 +553,14 @@ func (e *Engine) RouteBroad(query string) (broadmatch.Candidate, int, bool) {
 // produced by workload.Instance.Queries), fanning them out to the
 // keyword shards, and blocks until all have completed. Outcomes are
 // discarded after aggregation; use ServeOutcomes to retain them.
+//
+// Serve is a thin inlinable shell around serve so that a caller which
+// does not retain the Stats keeps it on its stack: a warm fixed-size
+// Serve allocates nothing (TestEngineServeSteadyStateAllocs).
 func (e *Engine) Serve(queries []int) *Stats {
-	return e.serve(queries, nil, nil, nil)
+	st := new(Stats)
+	e.serve(queries, nil, nil, nil, st)
+	return st
 }
 
 // ServeOutcomes is Serve, additionally returning every auction's
@@ -441,7 +568,8 @@ func (e *Engine) Serve(queries []int) *Stats {
 // outcome).
 func (e *Engine) ServeOutcomes(queries []int) ([]*Outcome, *Stats) {
 	results := make([]*Outcome, len(queries))
-	st := e.serve(queries, nil, nil, results)
+	st := new(Stats)
+	e.serve(queries, nil, nil, results, st)
 	return results, st
 }
 
@@ -469,9 +597,8 @@ func (e *Engine) ServeText(queries []string) *Stats {
 			rels = append(rels, best.Relevance)
 			ws = append(ws, best.Weight)
 		}
-		st := e.serve(routed, rels, ws, nil)
-		st.Unrouted = unrouted
-		st.Overmatched = overmatched
+		st := &Stats{Unrouted: unrouted, Overmatched: overmatched}
+		e.serve(routed, rels, ws, nil, st)
 		return st
 	}
 	for _, s := range queries {
@@ -481,16 +608,15 @@ func (e *Engine) ServeText(queries []string) *Stats {
 			unrouted++
 		}
 	}
-	st := e.serve(routed, nil, nil, nil)
-	st.Unrouted = unrouted
+	st := &Stats{Unrouted: unrouted}
+	e.serve(routed, nil, nil, nil, st)
 	return st
 }
 
-// Totals is one serving worker's private aggregate: the batch path
-// merges per-shard Totals after the batch completes, and the
-// streaming layer accumulates into a per-shard Totals under its stats
-// lock — both through the same Add, so the two paths cannot drift in
-// what they count.
+// Totals is one serving worker's private aggregate, accumulated by
+// ServeOneWeighted: each shard worker keeps one, and a batch barrier
+// hands its value to the Serve caller, which merges them in shard
+// order.
 type Totals struct {
 	Auctions, Clicks, Filled, Slots int
 	Revenue                         float64
@@ -511,22 +637,14 @@ func (t *Totals) Add(out *Outcome) {
 	}
 }
 
-// ServeOne runs one auction for keyword q on the calling goroutine and
-// accumulates it into tot — the single per-query serving step shared
-// by the batch workers and the streaming layer's persistent workers.
-// The returned outcome is owned by q's market and valid only until its
+// ServeOneWeighted runs one auction for keyword q on the calling
+// goroutine — rel and w are the query's broad-match relevance and
+// squashed pricing weight (see Market.RunWeighted; 1, 1 for a keyword
+// query) — accumulates it into tot and records it in the telemetry
+// lanes. The shard worker is its one caller in the serving stack. The
+// returned outcome is owned by q's market and valid only until its
 // next auction. The caller must be the sole concurrent runner of q's
 // shard; allocation-free in steady state under MethodRH/MethodRHTALU.
-func (e *Engine) ServeOne(q int, tot *Totals) *Outcome {
-	out := e.markets[q].Run(q)
-	tot.Add(out)
-	return out
-}
-
-// ServeOneWeighted is ServeOne for a broad-matched query: rel and w
-// are the winning candidate's relevance and squashed pricing weight
-// (see Market.RunWeighted). ServeOneWeighted(q, 1, 1, tot) is
-// ServeOne(q, tot), byte for byte.
 func (e *Engine) ServeOneWeighted(q int, rel, w float64, tot *Totals) *Outcome {
 	out := e.markets[q].RunWeighted(q, rel, w)
 	tot.Add(out)
@@ -536,8 +654,8 @@ func (e *Engine) ServeOneWeighted(q int, rel, w float64, tot *Totals) *Outcome {
 
 // RebuildShard replaces every market owned by shard s with a freshly
 // constructed market over inst, seeded with the engine's own
-// KeywordSeed — the streaming layer's churn fence. Because the caller
-// invokes it between auctions on the goroutine that owns shard s, no
+// KeywordSeed — the streaming layer's churn fence. Because it runs as
+// a control item on shard s's goroutine, between auctions, no
 // in-flight auction is ever torn, and because a fresh market over inst
 // is exactly what New would build, the shard's subsequent outcomes are
 // byte-identical to a freshly constructed engine over inst. The
@@ -601,11 +719,11 @@ func (e *Engine) ResetShardBudgets(s int, led *budget.Ledger) {
 // ResetBudgets performs a batch-mode budget reset: a fresh ledger
 // (journaled as a reset epoch) replaces the current one across every
 // market, re-admitting exhausted advertisers while bid state
-// continues. The caller must have quiesced serving — it takes the
-// batch lock, so no Serve call may be in flight. Returns the new
-// ledger, or nil when budgets are off. Streaming callers use
-// stream.Server.ResetBudgets, which applies the same swap through
-// in-band fences instead.
+// continues. The swap runs as a control item on every shard and
+// ResetBudgets waits for all of them, so it orders against Serve calls
+// like another batch. Returns the new ledger, or nil when budgets are
+// off. Streaming callers use stream.Server.ResetBudgets, which
+// publishes the same item without waiting for it.
 func (e *Engine) ResetBudgets() *budget.Ledger {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -613,9 +731,10 @@ func (e *Engine) ResetBudgets() *budget.Ledger {
 	if led == nil {
 		return nil
 	}
-	for s := 0; s < e.cfg.Shards; s++ {
+	e.onEveryShard(func(s int) {
 		e.ResetShardBudgets(s, led)
-	}
+		e.barrier.Done()
+	})
 	e.ledger.Store(led)
 	return led
 }
@@ -632,26 +751,24 @@ func (e *Engine) JournalErr() error {
 	return e.cfg.Journal.Err()
 }
 
-// Close releases every market's background resources (heavyweight
-// worker pools), publishes any unpublished budget spend, and flushes
-// and closes the journal if one is configured. Call it when the
-// engine is retired and no Serve is in flight; the streaming layer
-// does so at the end of its drain. Close is idempotent: the first
-// call does the work (one flush, one journal close), later calls are
-// no-ops.
+// Close retires the engine: the shard queues close, every worker
+// drains what is queued, publishes its shard's unpublished budget
+// spend and exits; then the journal, if one is configured, is flushed
+// and closed (the engine owns the writer — sticky errors surface in
+// JournalErr before this and in the writer's Close result) and every
+// market's background resources (heavyweight worker pools) are
+// released. No Serve or Enqueue may follow. Close is idempotent: the
+// first call does the work, later calls are no-ops.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		if e.Ledger() != nil {
-			// The caller has quiesced serving, so the lane owners are
-			// parked and the final publish (which also flushes the
-			// lanes' journal batches) is safe here.
-			for _, m := range e.markets {
-				m.FlushBudget()
-			}
+		e.mu.Lock()
+		e.closed = true
+		for _, ch := range e.queues {
+			close(ch)
 		}
+		e.mu.Unlock()
+		e.wg.Wait()
 		if e.cfg.Journal != nil {
-			// The engine owns the writer; sticky errors surface in
-			// JournalErr before this and in the writer's Close result.
 			_ = e.cfg.Journal.Close()
 		}
 		for _, m := range e.markets {
@@ -672,106 +789,60 @@ func (e *Engine) SetInstance(inst *workload.Instance, led *budget.Ledger) {
 	e.ledger.Store(led)
 }
 
-// serve fans queries out to the keyword shards. rels/ws, when
-// non-nil, carry the per-query broad-match relevance and squashed
+// serve fans queries out to the keyword shards and fills st. rels/ws,
+// when non-nil, carry the per-query broad-match relevance and squashed
 // weight (parallel to queries); nil means exact routing, every query
-// at (1, 1).
-func (e *Engine) serve(queries []int, rels, ws []float64, results []*Outcome) *Stats {
+// at (1, 1). st must not escape (see Serve).
+func (e *Engine) serve(queries []int, rels, ws []float64, results []*Outcome, st *Stats) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-
+	if e.closed {
+		panic("engine: Serve after Close")
+	}
 	for _, q := range queries {
 		if q < 0 || q >= e.inst.Keywords {
 			panic(fmt.Sprintf("engine: query keyword %d out of range [0,%d)", q, e.inst.Keywords))
 		}
 	}
 
-	shards := e.cfg.Shards
-	if cap(e.lat) < len(queries) {
-		e.lat = make([]int64, len(queries))
+	if len(queries) > 0 {
+		e.met.Latency.SnapshotInto(&e.before)
 	}
-	latencies := e.lat[:len(queries)]
-	var wg sync.WaitGroup
 	start := time.Now()
-	for s := 0; s < shards; s++ {
-		ch := e.chans[s]
-		wg.Add(1)
-		go func(s int, ch <-chan int) {
-			defer wg.Done()
-			// Accumulate into a worker-local Totals and publish it once
-			// on exit: adjacent e.totals entries share cache lines, and
-			// per-auction writes there would ping-pong them across cores.
-			var tot Totals
-			defer func() { e.totals[s] = tot }()
-			// The channels persist across batches, so workers stop on a
-			// −1 sentinel rather than channel close.
-			for idx := range ch {
-				if idx < 0 {
-					return
-				}
-				q := queries[idx]
-				rel, w := 1.0, 1.0
-				if rels != nil {
-					rel, w = rels[idx], ws[idx]
-				}
-				t0 := time.Now()
-				out := e.ServeOneWeighted(q, rel, w, &tot)
-				latencies[idx] = int64(time.Since(t0))
-				e.met.Latency.Record(latencies[idx])
-				if results != nil {
-					results[idx] = out.Clone()
-				}
-			}
-		}(s, ch)
-	}
 	// Feed in arrival order. A keyword lives on exactly one shard, so
 	// the per-keyword auction order is the arrival order regardless of
 	// how shards interleave; the bounded channels provide backpressure.
 	for idx, q := range queries {
-		e.chans[e.shardOf[q]] <- idx
-	}
-	for _, ch := range e.chans {
-		ch <- -1
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	if e.Ledger() != nil {
-		// Batch boundary: the workers have joined (their lane writes
-		// happen-before this), so fold every market's unpublished spend
-		// into the snapshot — after Serve returns, the published ledger
-		// is current.
-		for _, m := range e.markets {
-			m.FlushBudget()
+		t := task{q: q, rel: 1, w: 1}
+		if rels != nil {
+			t.rel, t.w = rels[idx], ws[idx]
 		}
+		if results != nil {
+			dst := &results[idx]
+			t.fn = func(out *Outcome) { *dst = out.Clone() }
+		}
+		e.queues[e.shardOf[q]] <- t
 	}
+	// Batch boundary: each shard publishes its markets' unpublished
+	// budget spend and its totals behind the last of its queries, so
+	// after Serve returns the published ledger is current.
+	e.onEveryShard(e.endBatch)
+	st.Elapsed = time.Since(start)
 
-	st := &Stats{Elapsed: elapsed}
 	for s := range e.totals {
-		tot := &e.totals[s]
+		tot := &e.totals[s].batch
 		st.Auctions += tot.Auctions
 		st.Revenue += tot.Revenue
 		st.Clicks += tot.Clicks
 		st.Filled += tot.Filled
 		st.TotalSlots += tot.Slots
 	}
-	if elapsed > 0 {
-		st.Throughput = float64(st.Auctions) / elapsed.Seconds()
+	if st.Elapsed > 0 {
+		st.Throughput = float64(st.Auctions) / st.Elapsed.Seconds()
 	}
-	if len(latencies) > 0 {
-		st.P50, st.P95, st.P99, st.Max = SummarizeLatencies(latencies)
+	if len(queries) > 0 {
+		e.met.Latency.SnapshotInto(&e.after)
+		e.after.Sub(&e.before)
+		st.P50, st.P95, st.P99, st.Max = e.after.Percentiles()
 	}
-	return st
-}
-
-// SummarizeLatencies sorts lat (in place, nanoseconds) and returns
-// the p50/p95/p99/max service latencies — the one percentile
-// convention shared by the batch Stats and the streaming layer's
-// rolling windows.
-func SummarizeLatencies(lat []int64) (p50, p95, p99, max time.Duration) {
-	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-	pct := func(p float64) time.Duration {
-		return time.Duration(lat[int(p*float64(len(lat)-1))])
-	}
-	return pct(0.50), pct(0.95), pct(0.99), time.Duration(lat[len(lat)-1])
 }

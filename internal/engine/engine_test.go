@@ -2,21 +2,22 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/racetest"
 	"repro/internal/workload"
 )
 
 // referenceOutcomes runs, for each keyword, a fresh sequential Market
-// (the strategy.World implementation) over just that keyword's
-// subsequence of the query stream — the engine's documented
+// over just that keyword's subsequence of the query stream — the engine's documented
 // equivalence reference.
 func referenceOutcomes(inst *workload.Instance, method Method, clickSeed int64, queries []int) [][]*Outcome {
 	ref := make([][]*Outcome, inst.Keywords)
 	markets := make([]*Market, inst.Keywords)
 	for q := 0; q < inst.Keywords; q++ {
-		markets[q] = NewMarket(inst, method, KeywordSeed(clickSeed, q))
+		markets[q] = NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: KeywordSeed(clickSeed, q)})
 	}
 	for _, q := range queries {
 		ref[q] = append(ref[q], markets[q].RunAuction(q))
@@ -115,7 +116,7 @@ func TestEngineServeAccumulates(t *testing.T) {
 	}
 	// Bid state must equal the reference's final state.
 	for q := 0; q < inst.Keywords; q++ {
-		m := NewMarket(inst, MethodRH, KeywordSeed(9, q))
+		m := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: KeywordSeed(9, q)})
 		for range whole[q] {
 			m.RunAuction(q)
 		}
@@ -152,27 +153,85 @@ func TestEngineTextRouting(t *testing.T) {
 	}
 }
 
-// TestEngineServeReusesBuffers: the batch path's per-call scratch —
-// feed channels, per-shard totals, and the latency sample buffer — is
-// allocated once and reused, so a long-running server's steady
-// per-batch overhead is goroutine spawns only.
-func TestEngineServeReusesBuffers(t *testing.T) {
+// TestEngineServeSteadyStateAllocs: the batch path is an
+// enqueue-all-then-barrier over the engine's persistent workers, so
+// once warm a repeated fixed-size Serve allocates nothing (the Stats
+// stays on the caller's stack, the barrier's control item and the
+// latency snapshots are preallocated) and spawns no goroutine — and a
+// smaller batch followed by a larger one still returns exact totals.
+func TestEngineServeSteadyStateAllocs(t *testing.T) {
 	inst := workload.Generate(rand.New(rand.NewSource(80)), 40, 4, 6)
 	queries := inst.Queries(rand.New(rand.NewSource(81)), 600)
-	e := New(inst, Config{Shards: 3, Method: MethodRH, ClickSeed: 4})
+	cfg := Config{Shards: 3, Method: MethodRH, ClickSeed: 4}
+	e := New(inst, cfg)
+	defer e.Close()
 	e.Serve(queries)
-	lat0, ch0 := &e.lat[0], e.chans[0]
-	e.Serve(queries[:300]) // smaller batch: the latency buffer must not shrink
-	if &e.lat[0] != lat0 || e.chans[0] != ch0 {
-		t.Fatal("Serve reallocated its persistent scratch on a second batch")
+	e.Serve(queries)
+	if !racetest.Enabled { // allocation accounting is perturbed under -race
+		goroutines := runtime.NumGoroutine()
+		served := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			served += e.Serve(queries).Auctions
+		})
+		if allocs != 0 {
+			t.Fatalf("warm Serve allocates %.0f objects per batch, want 0", allocs)
+		}
+		if served != 21*len(queries) {
+			t.Fatalf("served %d auctions over 21 batches of %d", served, len(queries))
+		}
+		if g := runtime.NumGoroutine(); g != goroutines {
+			t.Fatalf("Serve changed the goroutine count: %d -> %d", goroutines, g)
+		}
 	}
-	if cap(e.lat) < len(queries) {
-		t.Fatalf("latency buffer shrank to %d, want >= %d", cap(e.lat), len(queries))
+
+	// Exact totals against the outcomes of a twin engine fed the same
+	// batches: a smaller batch, then one larger than any before.
+	twin := New(inst, cfg)
+	defer twin.Close()
+	for e.KeywordMarket(0).Auctions() > twin.KeywordMarket(0).Auctions() {
+		twin.Serve(queries)
 	}
-	// And a larger batch grows the buffer without disturbing outcomes.
-	st := e.Serve(append(append([]int(nil), queries...), queries...))
-	if st.Auctions != 2*len(queries) {
-		t.Fatalf("grown batch served %d, want %d", st.Auctions, 2*len(queries))
+	for _, batch := range [][]int{queries[:300], append(append([]int(nil), queries...), queries...)} {
+		st := e.Serve(batch)
+		outs, _ := twin.ServeOutcomes(batch)
+		var want Totals
+		for _, o := range outs {
+			want.Add(o)
+		}
+		if st.Auctions != want.Auctions || st.Clicks != want.Clicks || st.Filled != want.Filled || st.TotalSlots != want.Slots {
+			t.Fatalf("batch of %d: stats %+v, want totals %+v", len(batch), st, want)
+		}
+		if d := st.Revenue - want.Revenue; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("batch of %d: revenue %v, want %v", len(batch), st.Revenue, want.Revenue)
+		}
+		if st.P50 <= 0 || st.P99 < st.P50 || st.Max < st.P99 {
+			t.Fatalf("batch of %d: percentiles not ordered: p50=%v p99=%v max=%v", len(batch), st.P50, st.P99, st.Max)
+		}
+	}
+}
+
+// TestEngineCloseStopsWorkers: Close joins the persistent shard
+// workers, so building, using and closing engines leaves the
+// goroutine count where it started.
+func TestEngineCloseStopsWorkers(t *testing.T) {
+	inst := workload.Generate(rand.New(rand.NewSource(83)), 20, 3, 4)
+	queries := inst.Queries(rand.New(rand.NewSource(84)), 50)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		e := New(inst, Config{Shards: 4, Method: MethodRH, ClickSeed: 1})
+		if st := e.Serve(queries); st.Auctions != len(queries) {
+			t.Fatalf("round %d: served %d of %d", i, st.Auctions, len(queries))
+		}
+		e.Close()
+		e.Close()
+	}
+	// Close waits for every worker's last statement, not for the
+	// runtime to retire the goroutine; give that a moment.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after 50 New/Serve/Close rounds", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -234,8 +293,8 @@ func TestEngineServeTextMixedAccounting(t *testing.T) {
 func TestMarketRunMatchesRunAuction(t *testing.T) {
 	inst := workload.Generate(rand.New(rand.NewSource(68)), 50, 5, 6)
 	queries := inst.Queries(rand.New(rand.NewSource(69)), 500)
-	a := NewMarket(inst, MethodRH, 3)
-	b := NewMarket(inst, MethodRH, 3)
+	a := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 3})
+	b := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 3})
 	for _, q := range queries {
 		oa := a.Run(q)
 		ob := b.RunAuction(q)
@@ -255,7 +314,7 @@ func TestMarketSteadyStateAllocs(t *testing.T) {
 	}
 	inst := workload.Generate(rand.New(rand.NewSource(70)), 500, 15, 10)
 	queries := inst.Queries(rand.New(rand.NewSource(71)), 4096)
-	m := NewMarket(inst, MethodRH, 7)
+	m := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 7})
 	for _, q := range queries[:2048] {
 		m.Run(q)
 	}
@@ -282,7 +341,7 @@ func TestTALUSteadyStateAllocs(t *testing.T) {
 	}
 	inst := workload.Generate(rand.New(rand.NewSource(70)), 500, 15, 10)
 	queries := inst.Queries(rand.New(rand.NewSource(71)), 4096)
-	m := NewMarket(inst, MethodRHTALU, 7)
+	m := NewMarketOpts(inst, MarketOpts{Method: MethodRHTALU, ClickSeed: 7})
 	for _, q := range queries[:2048] {
 		m.Run(q)
 	}
@@ -343,8 +402,8 @@ func TestTALUTriggerStorm(t *testing.T) {
 	)
 	inst := stormInstance(n, slots, keywords)
 	queries := inst.Queries(rand.New(rand.NewSource(73)), auctions)
-	ex := NewMarket(inst, MethodRH, 11)
-	ta := NewMarket(inst, MethodRHTALU, 11)
+	ex := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 11})
+	ta := NewMarketOpts(inst, MarketOpts{Method: MethodRHTALU, ClickSeed: 11})
 
 	var stormBatch int64
 	prevEvals := ta.ProgramEvaluations()

@@ -139,7 +139,7 @@ func (r *heavyReference) run(q int) *Outcome {
 func TestHeavyMarketMatchesSequentialHeavyAuction(t *testing.T) {
 	inst := workload.GenerateHeavy(rand.New(rand.NewSource(151)), 60, 4, 5, 0.25, 0.35)
 	queries := inst.Queries(rand.New(rand.NewSource(152)), 500)
-	m := NewMarket(inst, MethodHeavy, 19)
+	m := NewMarketOpts(inst, MarketOpts{Method: MethodHeavy, ClickSeed: 19})
 	ref := newHeavyReference(inst, 19)
 	for a, q := range queries {
 		got := m.Run(q)
@@ -196,7 +196,7 @@ func TestEngineHeavyAndVCGMatchSequentialMarkets(t *testing.T) {
 				}
 				markets := make([]*Market, tc.inst.Keywords)
 				for q := range markets {
-					markets[q] = NewMarketPriced(tc.inst, tc.method, tc.pricing, KeywordSeed(clickSeed, q))
+					markets[q] = NewMarketOpts(tc.inst, MarketOpts{Method: tc.method, Pricing: tc.pricing, ClickSeed: KeywordSeed(clickSeed, q)})
 				}
 				for idx, got := range outs {
 					q := shuffled[idx]
@@ -222,7 +222,7 @@ func TestHeavySteadyStateAllocs(t *testing.T) {
 	}
 	inst := workload.GenerateHeavy(rand.New(rand.NewSource(157)), 150, 4, 6, 0.2, 0.3)
 	queries := inst.Queries(rand.New(rand.NewSource(158)), 1024)
-	m := NewMarket(inst, MethodHeavy, 7)
+	m := NewMarketOpts(inst, MarketOpts{Method: MethodHeavy, ClickSeed: 7})
 	for _, q := range queries[:512] {
 		m.Run(q)
 	}
@@ -245,7 +245,7 @@ func TestVCGSteadyStateAllocs(t *testing.T) {
 	}
 	inst := workload.Generate(rand.New(rand.NewSource(159)), 300, 8, 6)
 	queries := inst.Queries(rand.New(rand.NewSource(160)), 2048)
-	m := NewMarketPriced(inst, MethodRH, PricingVCG, 7)
+	m := NewMarketOpts(inst, MarketOpts{Method: MethodRH, Pricing: PricingVCG, ClickSeed: 7})
 	for _, q := range queries[:1024] {
 		m.Run(q)
 	}
@@ -269,7 +269,7 @@ func TestHeavyVCGSteadyStateAllocs(t *testing.T) {
 	}
 	inst := workload.GenerateHeavy(rand.New(rand.NewSource(161)), 80, 4, 5, 0.25, 0.3)
 	queries := inst.Queries(rand.New(rand.NewSource(162)), 1024)
-	m := NewMarketPriced(inst, MethodHeavy, PricingVCG, 7)
+	m := NewMarketOpts(inst, MarketOpts{Method: MethodHeavy, Pricing: PricingVCG, ClickSeed: 7})
 	for _, q := range queries[:512] {
 		m.Run(q)
 	}

@@ -256,7 +256,7 @@ func TestBudgetJournalSteadyStateAllocs(t *testing.T) {
 		if err := led.AttachJournal(w); err != nil {
 			t.Fatal(err)
 		}
-		m := NewMarketBudget(inst, method, PricingGSP, 7, led.Lane(0))
+		m := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 7, Lane: led.Lane(0)})
 		queries := inst.Queries(rand.New(rand.NewSource(333)), 2000)
 		for _, q := range queries {
 			m.Run(q)

@@ -16,11 +16,11 @@ import (
 // Market is one running auction market: an instance, the accounting
 // state, and the bid engine for the chosen method. It is the
 // sequential unit of the serving engine — each keyword shard drives
-// one or more Markets — and also the implementation behind the
-// sequential strategy.World facade. Distinct Markets over the same
-// instance, query stream, and click seed evolve identically (up to
-// winner-determination ties), which is how the four methods are
-// compared on equal footing. A Market is not safe for concurrent use;
+// one or more Markets — and, driven from a single goroutine, the
+// sequential Section V simulation world (ssa.SimWorld). Distinct
+// Markets over the same instance, query stream, and click seed evolve
+// identically (up to winner-determination ties), which is how the four
+// methods are compared on equal footing. A Market is not safe for concurrent use;
 // concurrency lives one level up, in Engine.
 type Market struct {
 	Inst   *workload.Instance
@@ -31,27 +31,22 @@ type Market struct {
 	rng     *rand.Rand // user click simulation
 	pricing Pricing
 
-	// lane is the market's slice of the cross-keyword budget ledger;
-	// nil when budget enforcement is off, in which case every
-	// budget-related branch below is skipped and the market behaves
-	// byte-identically to a pre-budget market. When set, the market
-	// consults it before winner determination (gated advertisers score
-	// zero and are never assigned — dropNonPositive discards
-	// non-positive edges) and reports every click charge to it with
-	// exactly the values added to the accounting.
-	lane *budget.Lane
+	// gate decides who participates in the in-flight auction; its lane
+	// is also where every click charge is reported, with exactly the
+	// values added to the accounting. A nil lane and a zero reserve
+	// skip every budget- and reserve-related branch below, and the
+	// market behaves byte-identically to one without either.
+	gate gate
 
 	// reserve is the per-click reserve price (0 = off): advertisers
 	// whose squash-weighted bid w·bid falls below it sit out the
-	// auction in every method, and every charged click pays at least
-	// it. curRel/curW carry the in-flight auction's broad-match
-	// relevance and squashed pricing weight (both 1 for exact
-	// routing), and resCut caches reserve/curW — the raw-bid
-	// participation cutoff — once per auction.
+	// auction in every method (gate.cut = reserve/w, set once per
+	// auction), and every charged click pays at least it. curRel/curW
+	// carry the in-flight auction's broad-match relevance and squashed
+	// pricing weight (both 1 for exact routing).
 	reserve float64
 	curRel  float64
 	curW    float64
-	resCut  float64
 
 	ex    *explicitEngine
 	talu  *taluEngine
@@ -97,28 +92,35 @@ type Market struct {
 	vcgRows     [][]float64
 }
 
-// NewMarket builds a fresh market with generalized second pricing.
-// clickSeed drives the simulated user clicks; two markets with equal
-// instances and seeds see identical users.
-func NewMarket(inst *workload.Instance, method Method, clickSeed int64) *Market {
-	return NewMarketPriced(inst, method, PricingGSP, clickSeed)
+// gate is a market's participation predicate — budget gate ∧ reserve
+// cutoff — shared by the explicit bid vector (applyGate) and the TALU
+// path (its bid-source wrapper and winner-determination score), so
+// the two stay exactly equivalent under budgets and reserves. An
+// excluded advertiser participates with a bid of zero this auction —
+// the serving-side analogue of the sqlmini budget program's "UPDATE
+// Keywords SET bid = 0" — while its bid *state* keeps evolving.
+type gate struct {
+	// lane is the market's slice of the cross-keyword budget ledger;
+	// nil disables budget enforcement.
+	lane *budget.Lane
+	// cut is the in-flight auction's raw-bid cutoff reserve/w (the
+	// squash-weighted bid w·bid must reach the reserve); 0 = off.
+	cut float64
 }
 
-// NewMarketPriced is NewMarket with an explicit payment rule.
-func NewMarketPriced(inst *workload.Instance, method Method, pricing Pricing, clickSeed int64) *Market {
-	return NewMarketBudget(inst, method, pricing, clickSeed, nil)
-}
-
-// NewMarketBudget is NewMarketPriced with a budget-ledger lane. A nil
-// lane disables budget enforcement for this market (the historical
-// behavior, bit for bit).
-func NewMarketBudget(inst *workload.Instance, method Method, pricing Pricing, clickSeed int64, lane *budget.Lane) *Market {
-	return NewMarketOpts(inst, MarketOpts{Method: method, Pricing: pricing, ClickSeed: clickSeed, Lane: lane})
+// admits reports whether advertiser i, bidding bid, takes part in the
+// in-flight auction. The lane's decision is cached per auction, so a
+// consult is an array read.
+func (g *gate) admits(i int, bid float64) bool {
+	if g.lane != nil && !g.lane.Allowed(i) {
+		return false
+	}
+	return g.cut == 0 || bid >= g.cut
 }
 
 // MarketOpts bundles every market-construction knob; the zero value
-// of each field is its historical default, so the positional
-// constructors above are thin wrappers.
+// of each field is its default (MethodLP, GSP pricing, no budget
+// lane, no reserve, no tracing).
 type MarketOpts struct {
 	// Method selects the winner-determination pipeline.
 	Method Method
@@ -150,8 +152,8 @@ type MarketOpts struct {
 	TraceShard   int
 }
 
-// NewMarketOpts builds a market from an options bundle — the full
-// constructor behind NewMarket/NewMarketPriced/NewMarketBudget.
+// NewMarketOpts builds a fresh market. Two markets with equal
+// instances, options and click seeds see identical users.
 func NewMarketOpts(inst *workload.Instance, o MarketOpts) *Market {
 	method, pricing := o.Method, o.Pricing
 	m := &Market{
@@ -160,7 +162,7 @@ func NewMarketOpts(inst *workload.Instance, o MarketOpts) *Market {
 		pricing:    pricing,
 		acct:       newAccounting(inst.N, inst.Keywords),
 		rng:        rand.New(rand.NewSource(o.ClickSeed)),
-		lane:       o.Lane,
+		gate:       gate{lane: o.Lane},
 		reserve:    o.Reserve,
 		curRel:     1,
 		curW:       1,
@@ -169,7 +171,7 @@ func NewMarketOpts(inst *workload.Instance, o MarketOpts) *Market {
 		traceShard: int32(o.TraceShard),
 	}
 	if method == MethodRHTALU {
-		m.talu = newTALUEngine(inst, m.acct, o.Lane, o.Reserve > 0)
+		m.talu = newTALUEngine(inst, m.acct, &m.gate, o.Lane != nil || o.Reserve > 0)
 	} else {
 		m.ex = newExplicitEngine(inst)
 	}
@@ -205,37 +207,14 @@ func NewMarketOpts(inst *workload.Instance, o MarketOpts) *Market {
 // Pricing reports the market's payment rule.
 func (m *Market) Pricing() Pricing { return m.pricing }
 
-// gateBids applies the budget gate to the effective bid vector: an
-// advertiser over its cap (or paced out) participates with a bid of
-// zero this auction — the serving-side analogue of the sqlmini budget
-// program's "UPDATE Keywords SET bid = 0". Bid *state* keeps evolving
-// normally (the gate masks participation, not the program), which is
-// exactly what the TALU path's lazy gating does, keeping the methods
-// equivalent under budgets. Zero bids skip the gate: they cannot win
-// regardless. No-op without a lane.
-func (m *Market) gateBids() {
-	if m.lane == nil {
+// applyGate zeroes the effective bid of every advertiser the gate
+// excludes. Zero bids skip the consult: they cannot win regardless.
+func (m *Market) applyGate() {
+	if m.gate.lane == nil && m.gate.cut == 0 {
 		return
 	}
-	for i := range m.bidf {
-		if m.bidf[i] != 0 && !m.lane.Allowed(i) {
-			m.bidf[i] = 0
-		}
-	}
-}
-
-// gateReserve applies the reserve-price filter to the effective bid
-// vector: an advertiser whose raw bid falls below resCut = reserve/w
-// — i.e. whose squash-weighted bid w·bid falls below the reserve —
-// participates with a bid of zero this auction, exactly like the
-// budget gate masks over-cap advertisers. No-op when the reserve is
-// off or nothing this auction set a cutoff.
-func (m *Market) gateReserve() {
-	if m.resCut == 0 {
-		return
-	}
-	for i := range m.bidf {
-		if m.bidf[i] != 0 && m.bidf[i] < m.resCut {
+	for i, b := range m.bidf {
+		if b != 0 && !m.gate.admits(i, b) {
 			m.bidf[i] = 0
 		}
 	}
@@ -265,39 +244,33 @@ func (m *Market) Accounting() *Accounting { return m.acct }
 
 // BudgetLane exposes the market's ledger lane (nil when budget
 // enforcement is off) — inspection and test use.
-func (m *Market) BudgetLane() *budget.Lane { return m.lane }
+func (m *Market) BudgetLane() *budget.Lane { return m.gate.lane }
 
 // FlushBudget publishes the market's unpublished spend into the
-// ledger snapshot. Must run on the goroutine that owns the market
-// (the streaming layer's in-band flush fences, the batch engine after
-// its workers join). No-op without a lane.
+// ledger snapshot. Must run on the goroutine that owns the market.
+// No-op without a lane.
 func (m *Market) FlushBudget() {
-	if m.lane != nil {
-		m.lane.Publish()
+	if m.gate.lane != nil {
+		m.gate.lane.Publish()
 	}
 }
 
 // SetLane swaps the market's budget lane — the budget-reset fence.
 // The old lane's tail is published first (its ledger's settlement
 // reads stay exact), then every budget consumer in the market (the
-// gate, the TALU bid sources, the charge path) switches to the new
-// lane. The market's own state — bids, accounting, ROI, click RNG —
+// gate, shared with the TALU path, and the charge path) switches to
+// the new lane. The market's own state — bids, accounting, ROI, click RNG —
 // is untouched: a reset re-admits exhausted advertisers without
 // rewinding anyone's trajectory. Must run on the owning goroutine
 // between auctions. Toggling enforcement on or off is not supported
 // (the TALU fast path bakes the gate's presence into its sources at
 // construction): both lanes must be non-nil, or both nil.
 func (m *Market) SetLane(lane *budget.Lane) {
-	if (m.lane == nil) != (lane == nil) {
+	if (m.gate.lane == nil) != (lane == nil) {
 		panic("engine: SetLane cannot toggle budget enforcement on a live market")
 	}
-	if m.lane != nil {
-		m.lane.Publish()
-	}
-	m.lane = lane
-	if m.talu != nil {
-		m.talu.setLane(lane)
-	}
+	m.FlushBudget()
+	m.gate.lane = lane
 }
 
 // Close releases the market's background resources — today that is
@@ -331,7 +304,7 @@ func (m *Market) ProgramEvaluations() int64 {
 
 // RunAuction advances the market by one auction on keyword q and
 // returns a freshly allocated Outcome the caller may retain — the
-// historical World API. Hot paths use Run instead.
+// simulation-facing API. Hot paths use Run instead.
 func (m *Market) RunAuction(q int) *Outcome {
 	return m.Run(q).Clone()
 }
@@ -371,20 +344,17 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 	}
 
 	m.curRel, m.curW = rel, w
-	m.resCut = 0
+	m.gate.cut = 0
 	if m.reserve > 0 {
-		m.resCut = m.reserve / w
-	}
-	if m.talu != nil {
-		m.talu.resCut = m.resCut
+		m.gate.cut = m.reserve / w
 	}
 
-	if m.lane != nil {
+	if m.gate.lane != nil {
 		// Advance the budget lane: one gating decision per advertiser
 		// for this auction, and a snapshot publish on the refresh
 		// cadence. Must precede bid evaluation — both engines consult
 		// the gate during selection.
-		m.lane.BeginAuction()
+		m.gate.lane.BeginAuction()
 	}
 
 	out := &m.out
@@ -410,8 +380,7 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 		for i := 0; i < m.Inst.N; i++ {
 			m.bidf[i] = float64(m.ex.bid[i][q])
 		}
-		m.gateBids()
-		m.gateReserve()
+		m.applyGate()
 		score := m.weightFn
 
 		// Candidate lists (k+1 deep) serve both the reduced matching
@@ -487,11 +456,10 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 			for i := 0; i < m.Inst.N; i++ {
 				m.bidf[i] = float64(m.talu.bid(i, q))
 			}
-			// Same gates the selection phase applied (decisions are
+			// The same gate the selection phase applied (decisions are
 			// cached per auction), so the counterfactual solves see the
 			// same effective bids.
-			m.gateBids()
-			m.gateReserve()
+			m.applyGate()
 		}
 		m.priceVCG(advOf, out)
 		if m.curW != 1 || m.reserve > 0 {
@@ -593,11 +561,11 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 		m.acct.SpentTotal[i] += price
 		m.acct.SpentKw[i][q] += price
 		m.acct.GainedKw[i][q] += float64(m.Inst.Value[i][q])
-		if m.lane != nil {
+		if m.gate.lane != nil {
 			// Report the identical value the accounting recorded, so
 			// the lane's cumulative array stays bitwise equal to
 			// SpentTotal — the ledger's drain-exactness contract.
-			m.lane.Charge(i, price)
+			m.gate.lane.Charge(i, price)
 		}
 		m.clickedWinners = append(m.clickedWinners, i)
 	}

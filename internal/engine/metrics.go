@@ -11,8 +11,8 @@ import (
 // per shard for the serving counters (each shard goroutine writes
 // only its own cache-line-padded lane, so instrumentation adds a
 // handful of wait-free atomic operations per auction and no
-// contention), plus the per-method auction latency histogram shared
-// by the batch workers and the streaming layer's persistent workers.
+// contention), plus the per-method auction latency histogram the
+// shard workers record into.
 //
 // The counters are the authoritative serving account: stream.Stats is
 // a view over them (Served, Revenue, Clicks, Filled, TotalSlots read
@@ -31,7 +31,7 @@ type Metrics struct {
 
 	// Latency is the per-auction service latency histogram (dequeue to
 	// outcome, nanoseconds) of the configured method — the source of
-	// the streaming layer's p50/p95/p99.
+	// every Stats view's p50/p95/p99/max.
 	Latency *obs.Histogram
 }
 
@@ -79,9 +79,9 @@ func newMetrics(e *Engine) *Metrics {
 			"per-auction service latency, nanoseconds, method "+e.cfg.Method.String()),
 	}
 	reg.Gauge("ssa_engine_queue_depth",
-		"queued queries across the batch feed channels", func() float64 {
+		"entries waiting in the shard queues (batch, stream and server traffic alike)", func() float64 {
 			var n int
-			for _, ch := range e.chans {
+			for _, ch := range e.queues {
 				n += len(ch)
 			}
 			return float64(n)

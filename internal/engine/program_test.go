@@ -1,4 +1,4 @@
-package strategy
+package engine
 
 import (
 	"fmt"
@@ -115,7 +115,7 @@ func TestNativeStrategyMatchesFig5Program(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	inst := workload.Generate(rng, 25, 3, 5)
 	queries := inst.Queries(rand.New(rand.NewSource(23)), 400)
-	w := NewWorld(inst, MethodRH, 42)
+	w := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 42})
 
 	sample := []int{0, 7, 24}
 	dbs := make(map[int]*advertiserDB, len(sample))

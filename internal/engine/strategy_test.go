@@ -1,4 +1,4 @@
-package strategy
+package engine
 
 import (
 	"math"
@@ -14,7 +14,7 @@ func runWorlds(t *testing.T, inst *workload.Instance, queries []int, methods []M
 	t.Helper()
 	out := make(map[Method][]*Outcome)
 	for _, m := range methods {
-		w := NewWorld(inst, m, 12345)
+		w := NewMarketOpts(inst, MarketOpts{Method: m, ClickSeed: 12345})
 		var outcomes []*Outcome
 		for _, q := range queries {
 			outcomes = append(outcomes, w.RunAuction(q))
@@ -66,8 +66,8 @@ func TestTALUEquivalence(t *testing.T) {
 		inst := workload.Generate(rng, s.n, s.k, s.kws)
 		queries := inst.Queries(rand.New(rand.NewSource(s.seed+100)), s.auctions)
 
-		exW := NewWorld(inst, MethodRH, 999)
-		taW := NewWorld(inst, MethodRHTALU, 999)
+		exW := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 999})
+		taW := NewMarketOpts(inst, MarketOpts{Method: MethodRHTALU, ClickSeed: 999})
 		for a, q := range queries {
 			exO := exW.RunAuction(q)
 			taO := taW.RunAuction(q)
@@ -107,7 +107,7 @@ func TestBidsStayInBounds(t *testing.T) {
 	inst := workload.Generate(rng, 60, 5, 8)
 	queries := inst.Queries(rand.New(rand.NewSource(11)), 800)
 	for _, m := range []Method{MethodRH, MethodRHTALU} {
-		w := NewWorld(inst, m, 5)
+		w := NewMarketOpts(inst, MarketOpts{Method: m, ClickSeed: 5})
 		for _, q := range queries {
 			w.RunAuction(q)
 			for i := 0; i < inst.N; i++ {
@@ -126,7 +126,7 @@ func TestPricingProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	inst := workload.Generate(rng, 80, 6, 10)
 	queries := inst.Queries(rand.New(rand.NewSource(13)), 400)
-	w := NewWorld(inst, MethodRH, 77)
+	w := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 77})
 	for _, q := range queries {
 		o := w.RunAuction(q)
 		var sum float64
@@ -159,7 +159,7 @@ func TestAccountingInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	inst := workload.Generate(rng, 50, 4, 6)
 	queries := inst.Queries(rand.New(rand.NewSource(17)), 500)
-	w := NewWorld(inst, MethodRHTALU, 31)
+	w := NewMarketOpts(inst, MarketOpts{Method: MethodRHTALU, ClickSeed: 31})
 	var revenue float64
 	for _, q := range queries {
 		revenue += w.RunAuction(q).Revenue
@@ -190,7 +190,7 @@ func TestAccountingInvariants(t *testing.T) {
 func TestBidsActuallyMove(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	inst := workload.Generate(rng, 30, 3, 4)
-	w := NewWorld(inst, MethodRH, 7)
+	w := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 7})
 	start := make([][]int, inst.N)
 	for i := range start {
 		start[i] = make([]int, inst.Keywords)
@@ -238,8 +238,8 @@ func TestTALUEquivalenceZipfQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(161))
 	inst := workload.Generate(rng, 80, 6, 10)
 	queries := inst.QueriesZipf(rand.New(rand.NewSource(19)), 700, 1.3)
-	exW := NewWorld(inst, MethodRH, 555)
-	taW := NewWorld(inst, MethodRHTALU, 555)
+	exW := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 555})
+	taW := NewMarketOpts(inst, MarketOpts{Method: MethodRHTALU, ClickSeed: 555})
 	for a, q := range queries {
 		exO := exW.RunAuction(q)
 		taO := taW.RunAuction(q)
@@ -269,8 +269,8 @@ func TestTALUTouchesFewPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
 	inst := workload.Generate(rng, 2000, 15, 10)
 	queries := inst.Queries(rand.New(rand.NewSource(23)), 1000)
-	ex := NewWorld(inst, MethodRH, 3)
-	ta := NewWorld(inst, MethodRHTALU, 3)
+	ex := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 3})
+	ta := NewMarketOpts(inst, MarketOpts{Method: MethodRHTALU, ClickSeed: 3})
 	for _, q := range queries {
 		ex.RunAuction(q)
 		ta.RunAuction(q)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/budget"
 	"repro/internal/logical"
 	"repro/internal/matching"
 	"repro/internal/ta"
@@ -56,31 +55,20 @@ type taluEngine struct {
 	inst *workload.Instance
 	acct *Accounting
 
-	// lane is the market's budget-ledger lane (nil = enforcement off).
-	// Gating is lazy, preserving Section IV's sublinearity: instead of
-	// scanning all n advertisers per auction, the gate is consulted
-	// only for advertisers the threshold algorithm actually touches —
-	// the merged bid source's random accesses return 0 for gated
-	// advertisers (gatedBidSource below), and the winner-determination
-	// score does the same. Sorted accesses still surface the ungated
-	// stored bids, which keeps the TA threshold a valid upper bound
-	// (gating only lowers true scores), so the algorithm remains
-	// correct and merely scans past gated entries. Because the explicit
-	// engine gates by zeroing effective bids while leaving bid *state*
-	// drifting, the two engines stay exactly equivalent under budgets.
-	// gated is the lane-consulting bid-source wrapper wired into srcs
-	// at construction; setLane repoints both for budget resets.
-	lane  *budget.Lane
-	gated *gatedBidSource
-
-	// resCut is the in-flight auction's reserve cutoff (reserve/w; 0
-	// when the reserve is off), set by Market.RunWeighted before
-	// prepare. Like the budget gate it is applied lazily: the bid
-	// source's random accesses return 0 for below-cutoff advertisers
-	// (reservedBidSource), sorted accesses pass through so the TA
-	// threshold stays a sound upper bound, and the
-	// winner-determination score applies the same cutoff.
-	resCut float64
+	// gate is the owning market's participation predicate (budget gate
+	// ∧ reserve cutoff). It is applied lazily, preserving Section IV's
+	// sublinearity: instead of scanning all n advertisers per auction,
+	// it is consulted only for advertisers the threshold algorithm
+	// actually touches — the merged bid source's random accesses
+	// return 0 for excluded advertisers (gateSource below), and
+	// the winner-determination score does the same. Sorted accesses
+	// still surface the stored bids, which keeps the TA threshold a
+	// valid upper bound (the gate only lowers true scores), so the
+	// algorithm remains correct and merely scans past excluded
+	// entries. Because the explicit engine applies the same predicate
+	// by zeroing effective bids while leaving bid *state* drifting, the
+	// two engines stay exactly equivalent under budgets and reserves.
+	gate *gate
 
 	// groups[q][mode] holds the bidders whose behavior for keyword q
 	// is mode (modeConst/modeInc/modeDec); member[i][q] records which.
@@ -136,15 +124,16 @@ type taluEngine struct {
 	recomputes int64
 }
 
-// newTALUEngine builds the §IV engine. withReserve bakes the
-// reserve-consulting bid-source wrapper into srcs, mirroring how lane
-// presence bakes in the budget gate; the cutoff itself (resCut) is set
-// per auction by Market.RunWeighted.
-func newTALUEngine(inst *workload.Instance, acct *Accounting, lane *budget.Lane, withReserve bool) *taluEngine {
+// newTALUEngine builds the §IV engine over the market's gate. gated
+// bakes the gate-consulting bid-source wrapper into srcs (the market
+// has a budget lane or a reserve); the lane and the per-auction cutoff
+// are read through g, so Market.SetLane and RunWeighted need not tell
+// the engine.
+func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, gated bool) *taluEngine {
 	e := &taluEngine{
 		inst:    inst,
 		acct:    acct,
-		lane:    lane,
+		gate:    g,
 		groups:  make([][]*logical.Group, inst.Keywords),
 		member:  make([][]int8, inst.N),
 		genTime: make([]int, inst.N),
@@ -181,12 +170,8 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, lane *budget.Lane,
 	e.wSources = make([]*ta.SliceSource, inst.Slots)
 	e.bidSource = &logical.MergedSource{}
 	bidSrc := ta.Source(e.bidSource)
-	if lane != nil {
-		e.gated = &gatedBidSource{inner: e.bidSource, lane: lane}
-		bidSrc = e.gated
-	}
-	if withReserve {
-		bidSrc = &reservedBidSource{inner: bidSrc, eng: e}
+	if gated {
+		bidSrc = &gateSource{inner: e.bidSource, gate: g}
 	}
 	e.srcs = make([][]ta.Source, inst.Slots)
 	e.lists = make([][]topk.Item, inst.Slots)
@@ -212,11 +197,8 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, lane *budget.Lane,
 	}
 	e.product = func(v []float64) float64 { return v[0] * v[1] }
 	e.score = func(i, j int) float64 {
-		if e.lane != nil && !e.lane.Allowed(i) {
-			return 0
-		}
 		b := float64(e.bid(i, e.curQ))
-		if e.resCut > 0 && b < e.resCut {
+		if !e.gate.admits(i, b) {
 			return 0
 		}
 		return e.inst.ClickProb[i][j] * b
@@ -238,23 +220,11 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, lane *budget.Lane,
 	return e
 }
 
-// setLane swaps the budget lane (Market.SetLane's reset fence): the
-// winner-determination score closure reads e.lane dynamically, and the
-// gated bid source baked into srcs is repointed in place. Lane
-// presence cannot change (Market.SetLane enforces it), so a non-nil
-// gated always receives a non-nil lane.
-func (e *taluEngine) setLane(lane *budget.Lane) {
-	e.lane = lane
-	if e.gated != nil {
-		e.gated.lane = lane
-	}
-}
-
 // bid returns advertiser i's current effective bid for keyword q.
 func (e *taluEngine) bid(i, q int) int {
 	eff, ok := e.groups[q][e.member[i][q]].Effective(i)
 	if !ok {
-		panic("strategy: bidder missing from its group")
+		panic("engine: bidder missing from its group")
 	}
 	return int(math.Round(eff))
 }
@@ -302,7 +272,7 @@ func (e *taluEngine) recompute(i int, preAdjustKw int) {
 		old := int(e.member[i][q])
 		eff, ok := e.groups[q][old].Effective(i)
 		if !ok {
-			panic("strategy: bidder missing from its group during recompute")
+			panic("engine: bidder missing from its group during recompute")
 		}
 		bid := int(math.Round(eff))
 		mode := bidMode(e.inst, e.acct, i, q, bid, status)
@@ -375,50 +345,26 @@ func (e *taluEngine) afterAuction(t float64, clickedWinners []int) {
 	e.curQ = -1
 }
 
-// gatedBidSource wraps the merged bid source with the budget gate:
-// random accesses for gated advertisers return 0, so their aggregate
-// score is 0 and winner determination never assigns them. Sorted
-// accesses pass through unmodified — the threshold is computed from
-// stored (ungated) bids, which over-approximates gated advertisers'
-// true scores and therefore keeps the TA stopping rule sound: an
-// unseen object's true score never exceeds the frontier product. The
-// wrapper is built once per market; the per-lookup gate consult is an
-// array read (decisions are cached per auction), so the hot path
-// stays allocation-free.
-type gatedBidSource struct {
+// gateSource wraps the merged bid source with the market's gate:
+// random accesses for excluded advertisers (over budget, paced out, or
+// bidding below the reserve cutoff) return 0, so their aggregate score
+// is 0 and winner determination never assigns them. Sorted accesses
+// pass through unmodified — the threshold is computed from stored
+// bids, which over-approximates excluded advertisers' true scores and
+// therefore keeps the TA stopping rule sound: an unseen object's true
+// score never exceeds the frontier product. The wrapper is built once
+// per market; a consult is an array read and a compare, so the hot
+// path stays allocation-free.
+type gateSource struct {
 	inner ta.Source
-	lane  *budget.Lane
+	gate  *gate
 }
 
-func (g *gatedBidSource) Next() (int, float64, bool) { return g.inner.Next() }
+func (g *gateSource) Next() (int, float64, bool) { return g.inner.Next() }
 
-func (g *gatedBidSource) Lookup(id int) float64 {
-	if !g.lane.Allowed(id) {
-		return 0
-	}
-	return g.inner.Lookup(id)
-}
-
-// reservedBidSource wraps the (possibly budget-gated) bid source with
-// the reserve-price cutoff, the same lazy-gating shape as
-// gatedBidSource: random accesses for advertisers bidding below
-// resCut = reserve/w return 0 — their aggregate score is 0 and winner
-// determination never assigns them — while sorted accesses surface
-// stored bids unmodified, over-approximating true scores and keeping
-// the TA stopping rule sound. Built once per market when the reserve
-// is configured; resCut is a field read, so the hot path stays
-// allocation-free. A cutoff of 0 (exact routing with the reserve off,
-// or w large enough) passes everything through.
-type reservedBidSource struct {
-	inner ta.Source
-	eng   *taluEngine
-}
-
-func (r *reservedBidSource) Next() (int, float64, bool) { return r.inner.Next() }
-
-func (r *reservedBidSource) Lookup(id int) float64 {
-	v := r.inner.Lookup(id)
-	if c := r.eng.resCut; c > 0 && v < c {
+func (g *gateSource) Lookup(id int) float64 {
+	v := g.inner.Lookup(id)
+	if !g.gate.admits(id, v) {
 		return 0
 	}
 	return v

@@ -76,7 +76,7 @@ func TestMarketVCGMatchesCoreVCGPayments(t *testing.T) {
 		t.Run(method.String(), func(t *testing.T) {
 			inst := workload.Generate(rand.New(rand.NewSource(171)), 30, 4, 4)
 			queries := inst.Queries(rand.New(rand.NewSource(172)), 250)
-			m := NewMarketPriced(inst, method, PricingVCG, 29)
+			m := NewMarketOpts(inst, MarketOpts{Method: method, Pricing: PricingVCG, ClickSeed: 29})
 			for a, q := range queries {
 				out := m.Run(q)
 				// After Run, Bid(i, q) is exactly the bid vector this
@@ -114,7 +114,7 @@ func TestMarketVCGMatchesCoreVCGPayments(t *testing.T) {
 func TestHeavyMarketVCGMatchesHeavyVCGPayments(t *testing.T) {
 	inst := workload.GenerateHeavy(rand.New(rand.NewSource(173)), 25, 3, 4, 0.3, 0.4)
 	queries := inst.Queries(rand.New(rand.NewSource(174)), 250)
-	m := NewMarketPriced(inst, MethodHeavy, PricingVCG, 31)
+	m := NewMarketOpts(inst, MarketOpts{Method: MethodHeavy, Pricing: PricingVCG, ClickSeed: 31})
 	n, k := inst.N, inst.Slots
 	factor := probmodel.ShadowFactors(k, inst.Shadow)
 	for a, q := range queries {

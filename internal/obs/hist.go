@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"strconv"
 	"sync/atomic"
+	"time"
 )
 
 // Histogram bucket scheme: HDR-style log-scale over non-negative
@@ -136,11 +137,41 @@ func (s *HistSnapshot) Merge(other *HistSnapshot) {
 	}
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) under the repo's
-// shared percentile convention (rank int(q*(count-1)) of the sorted
-// sample, the same index engine.SummarizeLatencies uses): the upper
-// bound of the bucket holding that rank, clamped to the exact Max.
-// Empty snapshots report 0.
+// Sub turns s into the observations recorded after the earlier
+// snapshot before was taken — the per-call view of a lifetime
+// histogram. Max stays exact when the window set a new lifetime
+// maximum; otherwise it is the upper bound of the window's highest
+// occupied bucket, clamped to the lifetime maximum.
+func (s *HistSnapshot) Sub(before *HistSnapshot) {
+	top := -1
+	for i := range s.Counts {
+		s.Counts[i] -= before.Counts[i]
+		if s.Counts[i] > 0 {
+			top = i
+		}
+	}
+	s.Count -= before.Count
+	s.Sum -= before.Sum
+	switch {
+	case top < 0:
+		s.Max = 0
+	case s.Max == before.Max && bucketUpper(top) < s.Max:
+		s.Max = bucketUpper(top)
+	}
+}
+
+// Percentiles returns the p50/p95/p99 quantiles and the maximum of a
+// nanosecond histogram — the one latency summary every Stats view
+// (batch, stream, wire) reports.
+func (s *HistSnapshot) Percentiles() (p50, p95, p99, max time.Duration) {
+	return time.Duration(s.Quantile(0.50)), time.Duration(s.Quantile(0.95)),
+		time.Duration(s.Quantile(0.99)), time.Duration(s.Max)
+}
+
+// Quantile returns the q-quantile (0 <= q <= 1) at rank
+// int(q*(count-1)) of the sorted sample: the upper bound of the
+// bucket holding that rank, clamped to the exact Max. Empty snapshots
+// report 0.
 func (s *HistSnapshot) Quantile(q float64) int64 {
 	if s.Count <= 0 {
 		return 0

@@ -60,8 +60,8 @@ func TestBucketMapping(t *testing.T) {
 }
 
 // TestHistogramQuantiles: recorded samples reproduce their exact
-// quantiles within the bucket error bound, Max is exact, and the
-// convention matches engine.SummarizeLatencies' rank choice.
+// quantiles (rank int(q*(count-1)) of the sorted sample) within the
+// bucket error bound, and Max is exact.
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	rng := rand.New(rand.NewSource(7))
@@ -95,6 +95,46 @@ func TestHistogramQuantiles(t *testing.T) {
 	var empty HistSnapshot
 	if empty.Quantile(0.99) != 0 {
 		t.Fatal("empty snapshot quantile must be 0")
+	}
+}
+
+// TestHistSnapshotSub: the difference of two snapshots is the
+// histogram of what was recorded between them — the per-call view a
+// batch Serve reports. Max is exact when the window set a new
+// lifetime maximum and a bucket bound below it otherwise.
+func TestHistSnapshotSub(t *testing.T) {
+	var h, window Histogram
+	for _, v := range []int64{100, 5_000_000, 70} {
+		h.Record(v)
+	}
+	before := h.Snapshot()
+	for _, v := range []int64{900, 40, 1500, 900} {
+		h.Record(v)
+		window.Record(v)
+	}
+	d := h.Snapshot()
+	d.Sub(before)
+	want := window.Snapshot()
+	if d.Counts != want.Counts || d.Count != want.Count || d.Sum != want.Sum {
+		t.Fatalf("delta count=%d sum=%d, want %d/%d", d.Count, d.Sum, want.Count, want.Sum)
+	}
+	if d.Max < want.Max || d.Max > want.Max+want.Max/subCount {
+		t.Fatalf("delta max %d not within a bucket above the window's true max %d", d.Max, want.Max)
+	}
+	if got, exact := d.Quantile(0.5), want.Quantile(0.5); got != exact {
+		t.Fatalf("delta p50 %d, want %d", got, exact)
+	}
+
+	h.Record(9_000_000) // a new lifetime maximum inside the next window
+	d2 := h.Snapshot()
+	d2.Sub(before)
+	if d2.Max != 9_000_000 {
+		t.Fatalf("delta max %d, want the exact new maximum", d2.Max)
+	}
+	same := h.Snapshot()
+	same.Sub(h.Snapshot())
+	if same.Count != 0 || same.Max != 0 || same.Quantile(0.99) != 0 {
+		t.Fatalf("empty window: %d observations, max %d", same.Count, same.Max)
 	}
 }
 

@@ -172,17 +172,7 @@ func (c *conn) handle() bool {
 	case wire.KindBatch:
 		c.batch(req.ID, req.Qs)
 	case wire.KindStats:
-		ci := c.ctlAcquire()
-		var ws wire.ServerStats
-		c.srv.fillStats(&ws)
-		c.ctlBufs[ci] = wire.AppendStatsResp(c.ctlBufs[ci][:0], req.ID, &ws)
-		c.out <- -(ci + 1)
-	case wire.KindStatsV2:
-		ci := c.ctlAcquire()
-		var ws wire.ServerStatsV2
-		c.srv.fillStatsV2(&ws)
-		c.ctlBufs[ci] = wire.AppendStatsV2Resp(c.ctlBufs[ci][:0], req.ID, &ws)
-		c.out <- -(ci + 1)
+		c.ctlStats(req.ID)
 	case wire.KindReset:
 		if err := c.srv.st.ResetBudgets(); err != nil {
 			c.ctlError(req.ID, err.Error())
@@ -210,11 +200,7 @@ func (c *conn) handle() bool {
 		// this goroutine) has been served, then answers with the
 		// final stats.
 		c.srv.beginDrain()
-		ci := c.ctlAcquire()
-		var ws wire.ServerStats
-		c.srv.fillStats(&ws)
-		c.ctlBufs[ci] = wire.AppendStatsResp(c.ctlBufs[ci][:0], req.ID, &ws)
-		c.out <- -(ci + 1)
+		c.ctlStats(req.ID)
 	default:
 		c.ctlError(req.ID, errUnknownKind.Error())
 		return false
@@ -249,6 +235,14 @@ func (c *conn) ctlAcquire() int32 {
 func (c *conn) ctlOK(id uint64) {
 	ci := c.ctlAcquire()
 	c.ctlBufs[ci] = wire.AppendOKResp(c.ctlBufs[ci][:0], id)
+	c.out <- -(ci + 1)
+}
+
+func (c *conn) ctlStats(id uint64) {
+	ci := c.ctlAcquire()
+	var ws wire.ServerStats
+	c.srv.fillStats(&ws)
+	c.ctlBufs[ci] = wire.AppendStatsResp(c.ctlBufs[ci][:0], id, &ws)
 	c.out <- -(ci + 1)
 }
 

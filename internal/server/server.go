@@ -221,7 +221,7 @@ const (
 // frameKindNames label the mFrames lanes; frameKindLane maps a request
 // kind to its lane (the last lane collects unknown kinds).
 var frameKindNames = []string{
-	"auction", "text", "batch", "stats", "statsv2",
+	"auction", "text", "batch", "stats",
 	"reset", "add", "remove", "drain", "other",
 }
 
@@ -235,18 +235,16 @@ func frameKindLane(k wire.Kind) int {
 		return 2
 	case wire.KindStats:
 		return 3
-	case wire.KindStatsV2:
-		return 4
 	case wire.KindReset:
-		return 5
+		return 4
 	case wire.KindAdd:
-		return 6
+		return 5
 	case wire.KindRemove:
-		return 7
+		return 6
 	case wire.KindDrain:
-		return 8
+		return 7
 	default:
-		return 9
+		return 8
 	}
 }
 
@@ -389,8 +387,9 @@ func (s *Server) streamStats() *stream.Stats {
 	return s.st.Stats()
 }
 
-// fillStats assembles the wire stats snapshot (control path: the
-// stream snapshot allocates).
+// fillStats assembles the wire stats snapshot: the connection and
+// stream counters plus the serving latency histogram (control path:
+// the snapshots and the bucket slice allocate).
 func (s *Server) fillStats(ws *wire.ServerStats) {
 	ws.Submitted, ws.Served, ws.Shed, ws.Rejected, ws.Unrouted = s.Counters()
 	ws.Conns = s.conns.Load()
@@ -408,28 +407,10 @@ func (s *Server) fillStats(ws *wire.ServerStats) {
 	ws.BudgetSpent = st.BudgetSpent
 	ws.BudgetExhausted = int64(st.BudgetExhausted)
 	ws.BudgetDenied = st.BudgetDenied
-	ws.P50 = st.P50.Nanoseconds()
-	ws.P95 = st.P95.Nanoseconds()
-	ws.P99 = st.P99.Nanoseconds()
 	ws.WindowThroughput = st.WindowThroughput
-}
-
-// fillStatsV2 assembles the extended wire snapshot: the v1 fields plus
-// the serving latency histogram's totals and nonzero buckets (control
-// path: the snapshot and bucket slice allocate).
-func (s *Server) fillStatsV2(ws *wire.ServerStatsV2) {
-	s.fillStats(&ws.ServerStats)
 	var hs obs.HistSnapshot
 	s.st.Engine().Metrics().Latency.SnapshotInto(&hs)
-	ws.HistCount = hs.Count
-	ws.HistSum = hs.Sum
-	ws.HistMax = hs.Max
-	ws.Buckets = ws.Buckets[:0]
-	for i, c := range hs.Counts {
-		if c != 0 {
-			ws.Buckets = append(ws.Buckets, wire.HistBucket{Index: i, Count: c})
-		}
-	}
+	ws.SetLatency(&hs)
 }
 
 var errUnknownKind = errors.New("server: unknown request kind")

@@ -7,18 +7,21 @@
 //
 // # Worker model
 //
-// Where Engine.Serve spins up goroutines per batch, a Server starts
-// one persistent worker per engine shard at construction, each
-// draining a bounded channel of query items for the keywords that
-// shard owns. Submit routes a keyword query to its shard's queue;
-// SubmitText routes free text through the engine's keyword index
-// first. Per-keyword FIFO order — and with it the engine's sequential
+// The Server owns no goroutine that runs auctions and no queue: the
+// engine's persistent shard workers (engine.Engine's serving loop) do
+// both, for batch and streaming callers alike. Submit enqueues a
+// keyword query on its shard's queue (engine.Enqueue); SubmitText
+// routes free text through the engine's keyword index first.
+// Per-keyword FIFO order — and with it the engine's sequential
 // -equivalence contract — is preserved exactly as in batch mode,
-// because a keyword still lives on exactly one shard.
+// because a keyword still lives on exactly one shard. What is the
+// Server's own: the admission policy and the closed gate, text and
+// broad-match accounting, the publication of churn, budget-reset and
+// flush fences (engine.Control items), and the Stats view.
 //
 // # Admission control
 //
-// The queues are bounded, and Config.Overload picks what saturation
+// The engine's queues are bounded, and Config.Overload picks what saturation
 // means: Block (backpressure — Submit waits for space, nothing is
 // ever dropped) or Shed (Submit never blocks — a query that finds its
 // shard's queue full is rejected immediately and counted in that
@@ -29,9 +32,9 @@
 //
 // AddAdvertiser and RemoveAdvertiser change the population while the
 // server runs. A churn builds the post-churn workload.Instance and
-// enqueues an epoch fence in-band into every shard's queue; each
-// worker applies the fence between auctions (never tearing one) by
-// rebuilding its markets over the new instance via
+// enqueues an epoch fence — a control item — in-band into every
+// shard's queue; each worker runs it between auctions (never tearing
+// one), rebuilding its markets over the new instance via
 // engine.RebuildShard. Because a rebuilt market is exactly what a
 // fresh engine.New over the post-churn instance would build, the
 // server's post-fence outcomes are byte-identical to a freshly
@@ -56,9 +59,9 @@
 // # Drain
 //
 // Close stops intake (subsequent Submits are rejected without being
-// counted), drains every queue to empty, joins the workers, and
-// flushes the final Stats snapshot — rolling-window p50/p95/p99
-// latency and throughput over the last Config.Window auctions per
+// counted), closes the engine — which drains every queue to empty and
+// joins the workers — and flushes the final Stats snapshot: latency
+// percentiles, throughput over the last Config.Window auctions per
 // shard, lifetime totals, and the per-shard breakdown.
 package stream
 
@@ -67,7 +70,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -132,16 +134,6 @@ type Config struct {
 	Sink func(*engine.Outcome)
 }
 
-// itemKind tags a shard-queue entry.
-type itemKind uint8
-
-const (
-	itemQuery itemKind = iota
-	itemChurn
-	itemFlush
-	itemReset
-)
-
 // Fence-counter lanes (ssa_stream_fences_total).
 const (
 	fenceChurn = iota
@@ -149,34 +141,13 @@ const (
 	fenceReset
 )
 
-// item is one shard-queue entry: a keyword query, an epoch fence
-// carrying the post-churn population and its fresh budget ledger, a
-// budget flush fence, or a budget-reset fence carrying the fresh
-// ledger that re-admits exhausted advertisers. A query item may carry
-// a per-query completion callback (SubmitFunc) invoked on the shard
-// goroutine with the auction's outcome.
-type item struct {
-	kind  itemKind
-	q     int
-	epoch int
-	// rel and w are the query's broad-match relevance and squashed
-	// pricing weight (both 1 for keyword queries and exact-routed
-	// text — the byte-identical path).
-	rel, w float64
-	inst   *workload.Instance
-	led    *budget.Ledger
-	fn     func(*engine.Outcome)
-}
-
-// shard is one persistent worker's state: its feed queue and the
-// worker-side window ring and epoch guarded by mu (locked briefly per
-// auction; Stats snapshots under the same lock). Serving counts live
-// in the engine's telemetry lanes (one lane per shard), shed counts in
-// the server's shed counter lanes.
+// shard is the Server's per-shard view state: the epoch of the last
+// fence the shard's worker applied and the completion-time ring behind
+// WindowThroughput, both written on the shard goroutine and guarded by
+// mu (locked briefly per auction; Stats snapshots under the same
+// lock). Serving counts live in the engine's telemetry lanes (one lane
+// per shard), shed counts in the server's shed counter lanes.
 type shard struct {
-	id int
-	ch chan item
-
 	mu    sync.Mutex
 	epoch int
 	win   *window
@@ -192,7 +163,7 @@ type Server struct {
 	cfg      Config
 	keywords int // catalog size; immutable (only advertisers churn)
 	shards   []*shard
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the budget flusher
 	start    time.Time
 
 	// Admission and fence counters, registered into the engine's
@@ -205,23 +176,22 @@ type Server struct {
 	mOvermatched *obs.Counter
 	mShed        *obs.Counter
 	mFences      *obs.Counter
-	lat          *obs.Histogram
 
 	// mu guards the admission gate (closed) and the churn state
 	// (inst, epoch); Submit holds it shared, churn and Close exclusive.
-	// Critically, no blocking channel send ever happens under an
-	// exclusive hold of mu, so Shed-policy Submit stays wait-free even
-	// while a churn or Close is in progress.
+	// Critically, no blocking enqueue ever happens under an exclusive
+	// hold of mu, so Shed-policy Submit stays wait-free even while a
+	// churn or Close is in progress.
 	mu     sync.RWMutex
 	inst   *workload.Instance
 	epoch  int
 	closed bool
 
 	// churnMu serializes the fence-publication phase of churn, the
-	// budget flusher's fence offers, and Close's queue-closing against
+	// budget flusher's fence offers, and Close's gate-closing against
 	// each other, outside mu: fences for successive epochs land in
-	// every shard queue in epoch order, and a queue is never closed
-	// mid-publication. Lock order: churnMu before mu.
+	// every shard queue in epoch order, and the engine's queues are
+	// never closed mid-publication. Lock order: churnMu before mu.
 	churnMu sync.Mutex
 
 	// flushStop ends the periodic budget flusher (closed once, in
@@ -233,8 +203,8 @@ type Server struct {
 	final     *Stats
 }
 
-// NewServer builds a streaming server over inst and starts its
-// persistent shard workers.
+// NewServer builds a streaming server over inst; the engine's shard
+// workers are live immediately.
 func NewServer(inst *workload.Instance, cfg Config) *Server {
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
@@ -262,17 +232,22 @@ func NewServer(inst *workload.Instance, cfg Config) *Server {
 	s.mFences = reg.Counter("ssa_stream_fences_total",
 		"control fences applied at auction boundaries", 3).
 		RenderLanes("kind", []string{"churn", "flush", "reset"})
-	s.lat = s.eng.Metrics().Latency
 	s.shards = make([]*shard, s.eng.Shards())
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			id:  i,
-			ch:  make(chan item, s.eng.QueueDepth()),
-			win: newWindow(cfg.Window),
-		}
-		s.wg.Add(1)
-		go s.worker(s.shards[i])
+		s.shards[i] = &shard{win: newWindow(cfg.Window)}
 	}
+	// The auction itself runs outside sh.mu — only the window
+	// publication needs the lock (one ring store), so a Stats snapshot
+	// never waits behind an in-flight auction.
+	s.eng.OnServed(func(i int, out *engine.Outcome, done time.Time) {
+		sh := s.shards[i]
+		sh.mu.Lock()
+		sh.win.add(done.UnixNano())
+		sh.mu.Unlock()
+		if cfg.Sink != nil {
+			cfg.Sink(out)
+		}
+	})
 	if s.eng.Ledger() != nil {
 		d := cfg.BudgetFlush
 		if d <= 0 {
@@ -289,12 +264,16 @@ func NewServer(inst *workload.Instance, cfg Config) *Server {
 // shard queue, bounding budget-snapshot staleness by wall clock. The
 // offers are non-blocking: a saturated queue misses a round (its
 // backlog of auctions is about to publish on the count-based refresh
-// anyway) rather than wedging the flusher. churnMu excludes Close's
-// queue-closing, so a fence is never sent on a closed channel.
+// anyway) rather than wedging the flusher. churnMu excludes Close, so
+// a fence is never offered to a closed engine.
 func (s *Server) budgetFlusher(period time.Duration) {
 	defer s.wg.Done()
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
+	flush := func(i int) {
+		s.eng.FlushShard(i)
+		s.mFences.Inc(fenceFlush)
+	}
 	for {
 		select {
 		case <-s.flushStop:
@@ -309,69 +288,33 @@ func (s *Server) budgetFlusher(period time.Duration) {
 			s.churnMu.Unlock()
 			return
 		}
-		for _, sh := range s.shards {
-			select {
-			case sh.ch <- item{kind: itemFlush}:
-			default:
-			}
+		for i := range s.shards {
+			s.eng.Control(i, flush, false)
 		}
 		s.churnMu.Unlock()
 	}
 }
 
-// worker is one shard's persistent serving loop: queries run through
-// the engine's shared per-auction step (engine.ServeOne), epoch
-// fences rebuild the shard's markets between auctions. Exits when the
-// queue is closed and drained.
-func (s *Server) worker(sh *shard) {
-	defer s.wg.Done()
-	// The auction itself runs outside sh.mu — this goroutine is the
-	// shard's sole runner, so only the window publication needs the
-	// lock (one ring store). A Stats snapshot therefore never waits
-	// behind an in-flight auction, and a slow auction (heavy+VCG is
-	// ~30ms) never holds snapshots hostage. Serving totals go to the
-	// engine's telemetry lanes inside ServeOneWeighted; the latency
-	// lands in the shared histogram — both wait-free.
-	var tot engine.Totals
-	for it := range sh.ch {
-		switch it.kind {
-		case itemChurn:
-			s.eng.RebuildShard(sh.id, it.inst, it.led)
-			s.mFences.Inc(fenceChurn)
-			sh.mu.Lock()
-			sh.epoch = it.epoch
-			sh.mu.Unlock()
-			continue
-		case itemFlush:
-			s.eng.FlushShard(sh.id)
-			s.mFences.Inc(fenceFlush)
-			continue
-		case itemReset:
-			s.eng.ResetShardBudgets(sh.id, it.led)
-			s.mFences.Inc(fenceReset)
-			sh.mu.Lock()
-			sh.epoch = it.epoch
-			sh.mu.Unlock()
-			continue
-		}
-		t0 := time.Now()
-		out := s.eng.ServeOneWeighted(it.q, it.rel, it.w, &tot)
-		now := time.Now()
-		s.lat.Record(int64(now.Sub(t0)))
+// fence publishes an epoch fence: apply runs on every shard goroutine
+// between auctions, then the shard's epoch advances. Fences always
+// use blocking enqueues (population changes and resets are rare
+// control traffic that must never be shed) and are published with mu
+// released, which keeps Shed-policy Submit wait-free even against a
+// fence stuck behind a saturated queue. The caller holds churnMu,
+// which keeps successive epochs' fences in order in every queue and
+// excludes Close.
+func (s *Server) fence(kind, epoch int, apply func(shard int)) {
+	ctl := func(i int) {
+		apply(i)
+		s.mFences.Inc(kind)
+		sh := s.shards[i]
 		sh.mu.Lock()
-		sh.win.add(now.UnixNano())
+		sh.epoch = epoch
 		sh.mu.Unlock()
-		if it.fn != nil {
-			it.fn(out)
-		}
-		if s.cfg.Sink != nil {
-			s.cfg.Sink(out)
-		}
 	}
-	// Drain flush: the queue is closed and empty, so this is the
-	// shard's final word — after every worker exits, the published
-	// ledger snapshot equals the exact per-market totals.
-	s.eng.FlushShard(sh.id)
+	for i := range s.shards {
+		s.eng.Control(i, ctl, true)
+	}
 }
 
 // SubmitResult classifies how SubmitFunc (and SubmitTextFunc)
@@ -409,8 +352,8 @@ func (s *Server) Submit(q int) bool {
 // SubmitFunc offers one keyword query for service with a per-query
 // completion callback: when the result is SubmitQueued, fn (if
 // non-nil) is invoked exactly once with the auction's outcome, on the
-// serving shard's goroutine, after the shard's stats are updated and
-// before Config.Sink. The outcome is owned by the keyword's market
+// serving shard's goroutine, after the auction is counted and before
+// Config.Sink. The outcome is owned by the keyword's market
 // and valid only for the duration of the call; Clone it to retain.
 // fn must not call back into the Server. Admission accounting is
 // identical to Submit — Submitted counts SubmitQueued and SubmitShed,
@@ -425,19 +368,18 @@ func (s *Server) SubmitFunc(q int, fn func(*engine.Outcome)) SubmitResult {
 	if s.closed {
 		return SubmitClosed
 	}
-	sh := s.shards[s.eng.ShardOf(q)]
 	s.mSubmitted.Inc(0)
-	it := item{kind: itemQuery, q: q, rel: 1, w: 1, fn: fn}
-	if s.cfg.Overload == Shed {
-		select {
-		case sh.ch <- it:
-			return SubmitQueued
-		default:
-			s.mShed.Inc(sh.id)
-			return SubmitShed
-		}
+	return s.enqueue(q, 1, 1, fn)
+}
+
+// enqueue hands an admitted query to its shard's queue under the
+// overload policy. The caller holds mu shared and has counted it in
+// Submitted.
+func (s *Server) enqueue(q int, rel, w float64, fn func(*engine.Outcome)) SubmitResult {
+	if !s.eng.Enqueue(q, rel, w, fn, s.cfg.Overload == Block) {
+		s.mShed.Inc(s.eng.ShardOf(q))
+		return SubmitShed
 	}
-	sh.ch <- it
 	return SubmitQueued
 }
 
@@ -477,7 +419,7 @@ func (s *Server) SubmitTextFunc(query string, fn func(*engine.Outcome)) SubmitRe
 // out to every admitted candidate market, the winner (highest
 // relevance, ties to the lowest keyword id) is physically served —
 // admission-controlled exactly like Submit, with its relevance and
-// squashed weight riding the queue item — and the losing candidates
+// squashed weight riding the queue entry — and the losing candidates
 // are counted in Stats.Overmatched: matched, but not serving the
 // impression. Every (query, admitted market) pair is one admission
 // unit and an unmatched query is one Unrouted unit, so after Close
@@ -503,19 +445,7 @@ func (s *Server) submitBroad(query string, fn func(*engine.Outcome)) SubmitResul
 	if matched > 1 {
 		s.mOvermatched.Add(0, int64(matched-1))
 	}
-	sh := s.shards[s.eng.ShardOf(best.Keyword)]
-	it := item{kind: itemQuery, q: best.Keyword, rel: best.Relevance, w: best.Weight, fn: fn}
-	if s.cfg.Overload == Shed {
-		select {
-		case sh.ch <- it:
-			return SubmitQueued
-		default:
-			s.mShed.Inc(sh.id)
-			return SubmitShed
-		}
-	}
-	sh.ch <- it
-	return SubmitQueued
+	return s.enqueue(best.Keyword, best.Relevance, best.Weight, fn)
 }
 
 // AddAdvertiser admits a into the live population and returns its
@@ -552,12 +482,7 @@ func (s *Server) RemoveAdvertiser(i int) error {
 
 // applyChurn derives and publishes the post-churn instance under
 // churnMu: the churn state flips under a brief exclusive hold of mu,
-// then one fence is pushed into every shard queue with mu released —
-// fences always use blocking sends (population changes are rare
-// control traffic that must never be shed), and doing so outside mu
-// keeps Shed-policy Submit wait-free even against a fence stuck
-// behind a saturated queue. churnMu keeps successive epochs' fences
-// in order in every queue and excludes Close's queue-closing.
+// then one fence is pushed into every shard queue with mu released.
 func (s *Server) applyChurn(derive func(*workload.Instance) (*workload.Instance, error)) (*workload.Instance, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -579,9 +504,7 @@ func (s *Server) applyChurn(derive func(*workload.Instance) (*workload.Instance,
 	led := s.eng.NewLedger(next)
 	s.eng.SetInstance(next, led)
 	s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.ch <- item{kind: itemChurn, epoch: epoch, inst: next, led: led}
-	}
+	s.fence(fenceChurn, epoch, func(i int) { s.eng.RebuildShard(i, next, led) })
 	return next, nil
 }
 
@@ -611,12 +534,7 @@ func (s *Server) ResetBudgets() error {
 	epoch := s.epoch
 	s.eng.SetInstance(s.inst, led)
 	s.mu.Unlock()
-	// Blocking sends outside mu, exactly like churn fences: resets are
-	// rare control traffic that must never be shed, and churnMu keeps
-	// them ordered against churns and excludes Close's queue-closing.
-	for _, sh := range s.shards {
-		sh.ch <- item{kind: itemReset, epoch: epoch, led: led}
-	}
+	s.fence(fenceReset, epoch, func(i int) { s.eng.ResetShardBudgets(i, led) })
 	return nil
 }
 
@@ -668,7 +586,7 @@ func (s *Server) snapshotLocked(elapsed time.Duration) *Stats {
 		epoch := sh.epoch
 		done = sh.win.appendTo(done)
 		sh.mu.Unlock()
-		st.PerShard[i] = ShardStats{Served: int(served), Shed: shed, Queued: len(sh.ch), Epoch: epoch}
+		st.PerShard[i] = ShardStats{Served: int(served), Shed: shed, Queued: s.eng.QueueLen(i), Epoch: epoch}
 		st.Served += served
 		st.Shed += shed
 		st.Revenue += m.Revenue.Lane(i)
@@ -695,21 +613,16 @@ func (s *Server) snapshotLocked(elapsed time.Duration) *Stats {
 		st.Throughput = float64(st.Served) / elapsed.Seconds()
 	}
 	var hs obs.HistSnapshot
-	s.lat.SnapshotInto(&hs)
-	if hs.Count > 0 {
-		st.P50 = time.Duration(hs.Quantile(0.50))
-		st.P95 = time.Duration(hs.Quantile(0.95))
-		st.P99 = time.Duration(hs.Quantile(0.99))
-		st.Max = time.Duration(hs.Max)
-	}
+	m.Latency.SnapshotInto(&hs)
+	st.P50, st.P95, st.P99, st.Max = hs.Percentiles()
 	st.summarize(done, time.Now().Add(-s.cfg.WindowAge).UnixNano())
 	return st
 }
 
 // Close gracefully drains the server: intake stops (concurrent and
 // subsequent Submits are rejected and not counted), every queued
-// query is served, pending churn fences are applied, the workers
-// exit, and the final Stats is flushed and returned. Close is
+// query is served, pending churn fences are applied, the engine's
+// workers exit, and the final Stats is flushed and returned. Close is
 // idempotent; later calls return the same final snapshot.
 func (s *Server) Close() *Stats {
 	s.closeOnce.Do(func() {
@@ -717,21 +630,16 @@ func (s *Server) Close() *Stats {
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
-		// No submitter can hold mu now and churnMu excludes an
-		// in-flight fence publication, so no further sends can race
-		// the close: drain is exact.
-		for _, sh := range s.shards {
-			close(sh.ch)
-		}
 		s.churnMu.Unlock()
+		// No submitter can hold mu now and churnMu excluded an
+		// in-flight fence publication, so nothing can race the engine
+		// closing its queues: drain is exact. Post-churn markets are
+		// released too — RebuildShard closes the markets it replaces,
+		// and the engine holds the current generation.
 		if s.flushStop != nil {
 			close(s.flushStop)
 		}
 		s.wg.Wait()
-		// Workers are gone: release the markets' background resources
-		// (heavyweight pattern-solver pools). Post-churn markets are
-		// covered too — RebuildShard closes the markets it replaces,
-		// and the engine's slice holds the current generation.
 		s.eng.Close()
 		s.closedAt = time.Now()
 		s.mu.RLock()

@@ -2,9 +2,12 @@ package stream
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,41 +75,117 @@ func comparePerKeyword(t *testing.T, label string, got, want [][]*engine.Outcome
 	}
 }
 
-// TestStreamMatchesBatchEngine: without churn, the streaming server is
-// the batch engine — every keyword's outcome sequence is byte-identical
-// to Engine.ServeOutcomes over the same stream. Run under -race this
-// also exercises the persistent workers against concurrent Stats.
+// TestStreamMatchesBatchEngine: batch and stream are one serving loop —
+// the same query sequence through Engine.ServeOutcomes and through
+// SubmitFunc yields byte-identical per-keyword outcome sequences,
+// under a budget policy so the batch barrier's flush and the drain's
+// flush are both exercised. A refresh cadence longer than the run
+// makes those flushes the only publishers: the batch ledger must be
+// current when ServeOutcomes returns. With one shard the budgets bind
+// (every lane lives on one goroutine, so gating is deterministic);
+// with three they are too generous to bind, because cross-lane spend
+// is only boundedly stale there. Run under -race this also exercises
+// the engine's workers against concurrent Stats.
 func TestStreamMatchesBatchEngine(t *testing.T) {
 	for _, method := range []engine.Method{engine.MethodRH, engine.MethodRHTALU} {
-		inst := workload.Generate(rand.New(rand.NewSource(31)), 70, 5, 7)
-		queries := inst.Queries(rand.New(rand.NewSource(32)), 800)
-		ecfg := engine.Config{Shards: 3, QueueDepth: 8, Method: method, ClickSeed: 19}
-		sink, got := collectPerKeyword(inst.Keywords)
-		s := NewServer(inst, Config{Engine: ecfg, Sink: sink})
-		done := make(chan struct{})
-		go func() { // concurrent observer: snapshots must never tear
-			defer close(done)
-			for i := 0; i < 50; i++ {
-				s.Stats()
-				time.Sleep(time.Millisecond)
+		for _, shards := range []int{1, 3} {
+			label := fmt.Sprintf("%v/shards=%d", method, shards)
+			mean := 60.0
+			if shards > 1 {
+				mean = 1e9
 			}
-		}()
-		for _, q := range queries {
-			if !s.Submit(q) {
-				t.Fatal("Block-policy Submit rejected a query on an open server")
+			inst := budgetedInstance(31, 70, 5, 7, mean)
+			queries := inst.Queries(rand.New(rand.NewSource(32)), 800)
+			ecfg := engine.Config{Shards: shards, QueueDepth: 8, Method: method, ClickSeed: 19,
+				Budget: budget.Config{Policy: budget.PolicyHard, RefreshEvery: 1 << 20}}
+
+			batch := engine.New(inst, ecfg)
+			outs, _ := batch.ServeOutcomes(queries)
+			want := make([][]*engine.Outcome, inst.Keywords)
+			for _, o := range outs {
+				want[o.Query] = append(want[o.Query], o)
+			}
+			led := batch.Ledger()
+			var published float64
+			for i := 0; i < inst.N; i++ {
+				exact := led.ExactSpent(i)
+				if d := led.Spent(i) - exact; math.Abs(d) > 1e-9*math.Max(1, exact) {
+					t.Fatalf("%s: advertiser %d: published %v != exact %v after Serve returned", label, i, led.Spent(i), exact)
+				}
+				published += led.Spent(i)
+			}
+			if published == 0 {
+				t.Fatalf("%s: nothing published at the batch barrier", label)
+			}
+			if _, exhausted, _ := led.Totals(); (exhausted > 0) != (shards == 1) {
+				t.Fatalf("%s: %d advertisers exhausted", label, exhausted)
+			}
+			batch.Close()
+
+			got := make([][]*engine.Outcome, inst.Keywords)
+			collect := func(out *engine.Outcome) {
+				got[out.Query] = append(got[out.Query], out.Clone())
+			}
+			s := NewServer(inst, Config{Engine: ecfg, BudgetFlush: time.Hour})
+			done := make(chan struct{})
+			go func() { // concurrent observer: snapshots must never tear
+				defer close(done)
+				for i := 0; i < 50; i++ {
+					s.Stats()
+					time.Sleep(time.Millisecond)
+				}
+			}()
+			for _, q := range queries {
+				if s.SubmitFunc(q, collect) != SubmitQueued {
+					t.Fatal("Block-policy Submit rejected a query on an open server")
+				}
+			}
+			st := s.Close()
+			<-done
+			if st.Submitted != int64(len(queries)) || st.Served != int64(len(queries)) ||
+				st.Shed != 0 || st.Pending != 0 {
+				t.Fatalf("%s: accounting: %+v", label, st)
+			}
+			comparePerKeyword(t, label, got, want)
+			for i := 0; i < inst.N; i++ {
+				if a, b := s.Engine().Ledger().ExactSpent(i), led.ExactSpent(i); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%s: advertiser %d: streamed spend %v != batch spend %v", label, i, a, b)
+				}
 			}
 		}
-		st := s.Close()
-		<-done
-		if st.Submitted != int64(len(queries)) || st.Served != int64(len(queries)) ||
-			st.Shed != 0 || st.Pending != 0 {
-			t.Fatalf("accounting: %+v", st)
+	}
+}
+
+// TestQueueDepthGauge: ssa_engine_queue_depth reads the one queue set
+// every mode serves from. With a shard parked inside a SubmitFunc
+// callback and queries queued behind it, the gauge equals the summed
+// per-shard Queued of a Stats snapshot.
+func TestQueueDepthGauge(t *testing.T) {
+	inst := workload.Generate(rand.New(rand.NewSource(33)), 20, 3, 4)
+	s := NewServer(inst, Config{Engine: engine.Config{Shards: 2, QueueDepth: 8, Method: engine.MethodRH}})
+	parked, release := make(chan struct{}), make(chan struct{})
+	s.SubmitFunc(0, func(*engine.Outcome) {
+		close(parked)
+		<-release
+	})
+	<-parked
+	for i := 0; i < 5; i++ {
+		s.Submit(0) // keyword 0 lives on the parked shard
+	}
+	queued := 0
+	for _, sh := range s.Stats().PerShard {
+		queued += sh.Queued
+	}
+	gauge := -1.0
+	for _, line := range strings.Split(string(s.Engine().Metrics().Registry.Render()), "\n") {
+		if v, ok := strings.CutPrefix(line, "ssa_engine_queue_depth "); ok {
+			gauge, _ = strconv.ParseFloat(v, 64)
 		}
-		want := phasedReference(t, ecfg, []struct {
-			inst    *workload.Instance
-			queries []int
-		}{{inst, queries}})
-		comparePerKeyword(t, method.String(), got, want)
+	}
+	close(release)
+	s.Close()
+	if queued != 5 || gauge != float64(queued) {
+		t.Fatalf("gauge %v, summed Stats().PerShard[i].Queued %d, want both 5", gauge, queued)
 	}
 }
 

@@ -26,7 +26,8 @@ func fuzzSeeds() [][]byte {
 		Query: 2, AdvOf: []int{1, -1}, PricePerClick: []float64{1.5, 0},
 		Clicked: []bool{true, false}, Revenue: 1.5,
 	}
-	st := &ServerStats{Submitted: 5, Served: 4, Shed: 1}
+	st := &ServerStats{Submitted: 5, Served: 4, Shed: 1, HistCount: 4, HistSum: 900, HistMax: 400,
+		Buckets: []HistBucket{{Index: 40, Count: 3}, {Index: 200, Count: 1}}}
 	stream := AppendAuctionReq(nil, 1, 7)
 	stream = AppendTextReq(stream, 2, "shoes")
 	stream = AppendBatchReq(stream, 3, []int{1, 2, 3})

@@ -19,8 +19,9 @@
 //
 // # Handshake
 //
-// The dialer opens with the 8-byte Magic ("SSAWIR01" — version in the
-// name, bump for incompatible changes). The server answers with the
+// The dialer opens with the 8-byte Magic ("SSAWIR02" — version in the
+// name, bumped for incompatible changes; 02 merged the two stats
+// frames of 01 into one that carries the latency histogram). The server answers with the
 // same magic followed by one status byte: HandshakeOK admits the
 // connection, HandshakeFull (per-server connection cap) and
 // HandshakeDraining (graceful drain in progress) reject it. Only
@@ -56,9 +57,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Magic opens every connection in both directions; the trailing 01 is
+// Magic opens every connection in both directions; the trailing 02 is
 // the protocol version.
-const Magic = "SSAWIR01"
+const Magic = "SSAWIR02"
 
 // Handshake status bytes, sent by the server after the magic echo.
 const (
@@ -106,9 +107,6 @@ const (
 	KindAdd Kind = 0x07
 	// KindRemove evicts advertiser i. Body: u32 index.
 	KindRemove Kind = 0x08
-	// KindStatsV2 requests the extended statistics snapshot: the v1
-	// ServerStats plus the serving latency histogram. No body.
-	KindStatsV2 Kind = 0x09
 
 	// KindOutcome answers an auction with the full outcome.
 	// Body: u32 query | u64 revenueBits | u16 slots |
@@ -125,8 +123,10 @@ const (
 	// Body: 5 × u32 (requested, served, shed, rejected, clicks) |
 	// u64 revenueBits.
 	KindBatchResult Kind = 0x84
-	// KindStatsResult carries a ServerStats snapshot.
-	// Body: statsFields × u64.
+	// KindStatsResult carries a ServerStats snapshot: the counter
+	// words, then the serving latency histogram.
+	// Body: statsFields × u64 | u64 count | u64 sumNs | u64 maxNs |
+	// u32 nonzeroBuckets | nonzeroBuckets × (u32 index | u64 count).
 	KindStatsResult Kind = 0x85
 	// KindOK acknowledges a bodiless success (reset, remove). No body.
 	KindOK Kind = 0x86
@@ -138,11 +138,6 @@ const (
 	// KindUnrouted answers a KindText that matched no catalog
 	// keyword. No body.
 	KindUnrouted Kind = 0x89
-	// KindStatsV2Result carries a ServerStatsV2: the v1 stats words
-	// followed by the latency histogram snapshot.
-	// Body: statsFields × u64 | u64 count | u64 sumNs | u64 maxNs |
-	// u32 nonzeroBuckets | nonzeroBuckets × (u32 index | u64 count).
-	KindStatsV2Result Kind = 0x8a
 )
 
 // RejectReason explains a KindRejected response.
@@ -351,14 +346,6 @@ func AppendAddReq(dst []byte, id uint64, a *workload.Advertiser) []byte {
 	return endFrame(dst, start)
 }
 
-// AppendStatsV2Req appends a complete KindStatsV2 frame.
-func AppendStatsV2Req(dst []byte, id uint64) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindStatsV2, id)
-	return endFrame(dst, start)
-}
-
 // AppendRemoveReq appends a complete KindRemove frame.
 func AppendRemoveReq(dst []byte, id uint64, i int) []byte {
 	start := len(dst)
@@ -463,19 +450,13 @@ func AppendErrorResp(dst []byte, id uint64, msg string) []byte {
 }
 
 // AppendStatsResp appends a complete KindStatsResult frame: every
-// ServerStats field as one u64 in struct order (floats as bits,
-// counters zero-extended).
+// ServerStats counter as one u64 in struct order (floats as bits,
+// counters zero-extended), then the histogram's totals and its
+// nonzero (bucket index, count) pairs.
 func AppendStatsResp(dst []byte, id uint64, st *ServerStats) []byte {
 	start := len(dst)
 	dst = beginFrame(dst)
 	dst = appendHeader(dst, KindStatsResult, id)
-	dst = appendStatsWords(dst, st)
-	return endFrame(dst, start)
-}
-
-// appendStatsWords appends the statsFields u64 words shared by the v1
-// and v2 stats responses.
-func appendStatsWords(dst []byte, st *ServerStats) []byte {
 	for _, v := range [statsFields]uint64{
 		uint64(st.Submitted), uint64(st.Served), uint64(st.Shed),
 		uint64(st.Rejected), uint64(st.Unrouted), uint64(st.Conns),
@@ -485,28 +466,11 @@ func appendStatsWords(dst []byte, st *ServerStats) []byte {
 		uint64(st.Filled), uint64(st.TotalSlots), uint64(st.Epoch),
 		uint64(st.Advertisers), math.Float64bits(st.BudgetSpent),
 		uint64(st.BudgetExhausted), uint64(st.BudgetDenied),
-		uint64(st.P50), uint64(st.P95), uint64(st.P99),
 		math.Float64bits(st.WindowThroughput),
+		uint64(st.HistCount), uint64(st.HistSum), uint64(st.HistMax),
 	} {
 		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
-	return dst
-}
-
-// statsFields is the number of u64 words in a KindStatsResult body.
-const statsFields = 23
-
-// AppendStatsV2Resp appends a complete KindStatsV2Result frame: the
-// v1 stats words followed by the histogram snapshot's totals and its
-// nonzero (bucket index, count) pairs.
-func AppendStatsV2Resp(dst []byte, id uint64, st *ServerStatsV2) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindStatsV2Result, id)
-	dst = appendStatsWords(dst, &st.ServerStats)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.HistCount))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.HistSum))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.HistMax))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Buckets)))
 	for _, b := range st.Buckets {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Index))
@@ -514,6 +478,10 @@ func AppendStatsV2Resp(dst []byte, id uint64, st *ServerStatsV2) []byte {
 	}
 	return endFrame(dst, start)
 }
+
+// statsFields is the number of fixed u64 words in a KindStatsResult
+// body, ahead of the bucket list.
+const statsFields = 23
 
 // ---------------------------------------------------------------------------
 // Shared payload structs
@@ -552,10 +520,14 @@ type BatchResult struct {
 	Revenue   float64
 }
 
-// ServerStats is the snapshot a KindStatsResult carries: the
-// connection layer's admission counters (the identity Submitted ==
-// Served + Shed + Rejected holds exactly once the server has
-// drained), then the stream layer's view beneath it.
+// ServerStats is the snapshot a KindStatsResult carries — answering
+// both a live stats request and a drain: the connection layer's
+// admission counters (the identity Submitted == Served + Shed +
+// Rejected holds exactly once the server has drained), the stream
+// layer's view beneath it, and the serving latency histogram (total
+// count, sum and max in nanoseconds plus the nonzero buckets of the
+// obs.Histogram bucket scheme), from which a client reconstructs any
+// quantile — see Latency.
 type ServerStats struct {
 	// Connection layer.
 	Submitted int64 // auction-kind requests admitted past decode
@@ -579,10 +551,34 @@ type ServerStats struct {
 	BudgetSpent      float64
 	BudgetExhausted  int64
 	BudgetDenied     int64
-	P50              int64 // latency percentiles, ns (histogram quantiles)
-	P95              int64
-	P99              int64
 	WindowThroughput float64
+
+	// Serving latency histogram.
+	HistCount int64
+	HistSum   int64
+	HistMax   int64
+	Buckets   []HistBucket
+}
+
+// SetLatency fills the histogram fields from a snapshot, reusing
+// Buckets.
+func (st *ServerStats) SetLatency(hs *obs.HistSnapshot) {
+	st.HistCount, st.HistSum, st.HistMax = hs.Count, hs.Sum, hs.Max
+	st.Buckets = st.Buckets[:0]
+	for i, c := range hs.Counts {
+		if c != 0 {
+			st.Buckets = append(st.Buckets, HistBucket{Index: i, Count: c})
+		}
+	}
+}
+
+// Latency rebuilds the server's latency histogram into hs, whose
+// quantiles then equal the server-side snapshot's exactly.
+func (st *ServerStats) Latency(hs *obs.HistSnapshot) {
+	*hs = obs.HistSnapshot{Count: st.HistCount, Sum: st.HistSum, Max: st.HistMax}
+	for _, b := range st.Buckets {
+		hs.Counts[b.Index] = b.Count
+	}
 }
 
 // HistBucket is one nonzero bucket of a wire-carried histogram
@@ -590,20 +586,6 @@ type ServerStats struct {
 type HistBucket struct {
 	Index int
 	Count int64
-}
-
-// ServerStatsV2 extends ServerStats with the serving latency
-// histogram: total count, sum and max (nanoseconds), and the nonzero
-// buckets of the obs.Histogram bucket scheme (32 sub-buckets per
-// octave; indexes below obs.NumBuckets). A client can reconstruct any
-// quantile from the buckets rather than settling for the three the v1
-// snapshot carries.
-type ServerStatsV2 struct {
-	ServerStats
-	HistCount int64
-	HistSum   int64
-	HistMax   int64
-	Buckets   []HistBucket
 }
 
 // ---------------------------------------------------------------------------
@@ -720,7 +702,7 @@ func (req *Request) Decode(p []byte) error {
 		for i := 0; i < n; i++ {
 			req.Qs = append(req.Qs, int(int32(r.u32())))
 		}
-	case KindStats, KindStatsV2, KindReset, KindDrain:
+	case KindStats, KindReset, KindDrain:
 		// No body.
 	case KindAdd:
 		a := &req.Adv
@@ -758,43 +740,14 @@ func (req *Request) Decode(p []byte) error {
 // (KindError) is freshly allocated — the error path is not a hot
 // path.
 type Response struct {
-	Kind    Kind
-	ID      uint64
-	Reason  RejectReason  // KindRejected
-	Out     Outcome       // KindOutcome
-	Batch   BatchResult   // KindBatchResult
-	Stats   ServerStats   // KindStatsResult
-	StatsV2 ServerStatsV2 // KindStatsV2Result (Buckets reused)
-	Index   int           // KindAdded
-	Msg     string        // KindError
-}
-
-// readStatsWords decodes the statsFields u64 words shared by the v1
-// and v2 stats responses.
-func readStatsWords(r *reader, st *ServerStats) {
-	st.Submitted = int64(r.u64())
-	st.Served = int64(r.u64())
-	st.Shed = int64(r.u64())
-	st.Rejected = int64(r.u64())
-	st.Unrouted = int64(r.u64())
-	st.Conns = int64(r.u64())
-	st.StreamSubmitted = int64(r.u64())
-	st.StreamServed = int64(r.u64())
-	st.StreamShed = int64(r.u64())
-	st.StreamPending = int64(r.u64())
-	st.Revenue = math.Float64frombits(r.u64())
-	st.Clicks = int64(r.u64())
-	st.Filled = int64(r.u64())
-	st.TotalSlots = int64(r.u64())
-	st.Epoch = int64(r.u64())
-	st.Advertisers = int64(r.u64())
-	st.BudgetSpent = math.Float64frombits(r.u64())
-	st.BudgetExhausted = int64(r.u64())
-	st.BudgetDenied = int64(r.u64())
-	st.P50 = int64(r.u64())
-	st.P95 = int64(r.u64())
-	st.P99 = int64(r.u64())
-	st.WindowThroughput = math.Float64frombits(r.u64())
+	Kind   Kind
+	ID     uint64
+	Reason RejectReason // KindRejected
+	Out    Outcome      // KindOutcome
+	Batch  BatchResult  // KindBatchResult
+	Stats  ServerStats  // KindStatsResult (Buckets reused)
+	Index  int          // KindAdded
+	Msg    string       // KindError
 }
 
 // Decode parses one response payload into resp, with the same
@@ -836,10 +789,27 @@ func (resp *Response) Decode(p []byte) error {
 		b.Clicks = int(int32(r.u32()))
 		b.Revenue = math.Float64frombits(r.u64())
 	case KindStatsResult:
-		readStatsWords(&r, &resp.Stats)
-	case KindStatsV2Result:
-		st := &resp.StatsV2
-		readStatsWords(&r, &st.ServerStats)
+		st := &resp.Stats
+		st.Submitted = int64(r.u64())
+		st.Served = int64(r.u64())
+		st.Shed = int64(r.u64())
+		st.Rejected = int64(r.u64())
+		st.Unrouted = int64(r.u64())
+		st.Conns = int64(r.u64())
+		st.StreamSubmitted = int64(r.u64())
+		st.StreamServed = int64(r.u64())
+		st.StreamShed = int64(r.u64())
+		st.StreamPending = int64(r.u64())
+		st.Revenue = math.Float64frombits(r.u64())
+		st.Clicks = int64(r.u64())
+		st.Filled = int64(r.u64())
+		st.TotalSlots = int64(r.u64())
+		st.Epoch = int64(r.u64())
+		st.Advertisers = int64(r.u64())
+		st.BudgetSpent = math.Float64frombits(r.u64())
+		st.BudgetExhausted = int64(r.u64())
+		st.BudgetDenied = int64(r.u64())
+		st.WindowThroughput = math.Float64frombits(r.u64())
 		st.HistCount = int64(r.u64())
 		st.HistSum = int64(r.u64())
 		st.HistMax = int64(r.u64())

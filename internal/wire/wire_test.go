@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -116,7 +118,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		StreamSubmitted: 96, StreamServed: 90, StreamShed: 6, StreamPending: 0,
 		Revenue: 1234.5, Clicks: 77, Filled: 300, TotalSlots: 400,
 		Epoch: 5, Advertisers: 40, BudgetSpent: 17.25, BudgetExhausted: 2,
-		BudgetDenied: 9, P50: 1000, P95: 5000, P99: 9000, WindowThroughput: 1e6,
+		BudgetDenied: 9, WindowThroughput: 1e6,
+		HistCount: 90, HistSum: 123456, HistMax: 9000,
+		Buckets: []HistBucket{{Index: 3, Count: 50}, {Index: obs.NumBuckets - 1, Count: 40}},
 	}
 	stream := frames(
 		AppendOutcomeResp(nil, 1, out),
@@ -166,7 +170,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if r := next(); r.Kind != KindBatchResult || r.ID != 4 || r.Batch != *br {
 		t.Fatalf("batch: %+v", r)
 	}
-	if r := next(); r.Kind != KindStatsResult || r.ID != 5 || r.Stats != *st {
+	if r := next(); r.Kind != KindStatsResult || r.ID != 5 || !reflect.DeepEqual(r.Stats, *st) {
 		t.Fatalf("stats: %+v", r)
 	}
 	if r := next(); r.Kind != KindOK || r.ID != 6 {
@@ -281,6 +285,23 @@ func TestPayloadCorruption(t *testing.T) {
 		if err := resp.Decode(read(t, reframe(p))); err == nil ||
 			!strings.Contains(err.Error(), "overruns") {
 			t.Fatalf("want overrun error, got %v", err)
+		}
+	})
+	t.Run("histogram bucket overrun", func(t *testing.T) {
+		full := read(t, AppendStatsResp(nil, 1, &ServerStats{}))
+		p := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(p[len(p)-4:], 1<<31-1) // count ≫ payload
+		var resp Response
+		if err := resp.Decode(p); err == nil || !strings.Contains(err.Error(), "overruns") {
+			t.Fatalf("want overrun error, got %v", err)
+		}
+	})
+	t.Run("histogram bucket index out of range", func(t *testing.T) {
+		st := &ServerStats{Buckets: []HistBucket{{Index: obs.NumBuckets, Count: 1}}}
+		var resp Response
+		if err := resp.Decode(read(t, AppendStatsResp(nil, 1, st))); err == nil ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("want out-of-range error, got %v", err)
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {

@@ -249,9 +249,9 @@ func TestStatsViewMatchesRegistry(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The wire stats-v2 frame carries the same histogram the
+		// The wire stats frame carries the same histogram the
 		// registry renders: counts must match the served tally.
-		v2, err := c.StatsV2()
+		v2, err := c.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,8 +30,8 @@
 // query streams concurrently: Engine partitions the keyword space
 // across worker shards, each keyword owning an independent market
 // (bids, ROI accounting, click randomness), and Serve fans a stream
-// out over bounded channels while reporting throughput and latency
-// percentiles. Winner determination on the serving path is the
+// out over bounded queues to persistent shard workers while reporting
+// throughput and latency percentiles. Winner determination on the serving path is the
 // paper's reduced Hungarian algorithm running allocation-free in
 // per-worker workspaces. The engine's contract is sequential
 // equivalence: for every keyword, outcomes are bit-identical to a
@@ -44,7 +44,7 @@
 //
 // For open-world traffic — queries arriving continuously against an
 // evolving advertiser base, the paper's own premise — StreamServer
-// wraps the engine with persistent per-shard workers, bounded-queue
+// feeds the same shard workers continuously, adding bounded-queue
 // admission control (block or shed, every dropped query accounted),
 // live advertiser churn applied at auction boundaries via epoch
 // fences (post-churn outcomes byte-identical to a freshly built
@@ -105,7 +105,6 @@ import (
 	"repro/internal/probmodel"
 	"repro/internal/server"
 	"repro/internal/sqlmini"
-	"repro/internal/strategy"
 	"repro/internal/stream"
 	"repro/internal/table"
 	"repro/internal/wire"
@@ -276,72 +275,73 @@ func NewKeywordIndex() *KeywordIndex { return kwmatch.New() }
 type (
 	// SimInstance is a generated §V auction population.
 	SimInstance = workload.Instance
-	// SimWorld runs auctions under one winner-determination method.
-	SimWorld = strategy.World
+	// SimWorld runs auctions under one winner-determination method:
+	// one engine market driven sequentially.
+	SimWorld = engine.Market
 	// SimMethod selects the simulation pipeline (SimLP, SimH, SimRH,
 	// SimRHTALU).
-	SimMethod = strategy.Method
+	SimMethod = engine.Method
 	// SimOutcome reports one simulated auction.
-	SimOutcome = strategy.Outcome
+	SimOutcome = engine.Outcome
 )
 
 // Simulation methods (Figure 12's four curves plus the parallel-RH
 // ablation and the Section III-F heavyweight path).
 const (
-	SimLP         = strategy.MethodLP
-	SimH          = strategy.MethodH
-	SimRH         = strategy.MethodRH
-	SimRHTALU     = strategy.MethodRHTALU
-	SimRHParallel = strategy.MethodRHParallel
+	SimLP         = engine.MethodLP
+	SimH          = engine.MethodH
+	SimRH         = engine.MethodRH
+	SimRHTALU     = engine.MethodRHTALU
+	SimRHParallel = engine.MethodRHParallel
 	// SimHeavy serves the heavyweight/lightweight model: winner
 	// determination enumerates the 2^k heavyweight patterns through a
 	// reused determiner, and pricing plus the user simulation condition
 	// on the realized pattern. Per-auction cost grows as 2^Slots; use
 	// small slot counts.
-	SimHeavy = strategy.MethodHeavy
+	SimHeavy = engine.MethodHeavy
 )
 
 // SimPricing selects the payment rule of a simulation world or
 // serving engine.
-type SimPricing = strategy.Pricing
+type SimPricing = engine.Pricing
 
 // Payment rules: generalized second pricing (the Section V default)
 // and Vickrey opportunity costs (Theorem 1's "very simple
 // computation" given winner determination — one counterfactual solve
 // per winner, run in reused workspaces on the serving path).
 const (
-	PricingGSP = strategy.PricingGSP
-	PricingVCG = strategy.PricingVCG
+	PricingGSP = engine.PricingGSP
+	PricingVCG = engine.PricingVCG
 )
 
-// NewSimWorld builds a simulation world over inst.
+// NewSimWorld builds a simulation world over inst with generalized
+// second pricing. clickSeed drives the simulated user clicks; two
+// worlds with equal instances and seeds see identical users.
 func NewSimWorld(inst *SimInstance, m SimMethod, clickSeed int64) *SimWorld {
-	return strategy.NewWorld(inst, m, clickSeed)
-}
-
-// NewSimWorldPriced is NewSimWorld with an explicit payment rule.
-func NewSimWorldPriced(inst *SimInstance, m SimMethod, pricing SimPricing, clickSeed int64) *SimWorld {
-	return strategy.NewWorldPriced(inst, m, pricing, clickSeed)
+	return engine.NewMarketOpts(inst, SimWorldOpts{Method: m, ClickSeed: clickSeed})
 }
 
 // SimWorldOpts bundles every world-construction knob (method, payment
-// rule, click seed, budget lane, and the MethodHeavy enumeration
-// worker count HeavyParallelism); zero values are the historical
-// defaults.
-type SimWorldOpts = strategy.WorldOpts
+// rule, click seed, budget lane, reserve, and the MethodHeavy
+// enumeration worker count HeavyParallelism); zero values are the
+// defaults. For budget enforcement give the world the one lane of a
+// single-lane ledger over inst.Budget (NewBudgetLedger(inst, 1, cfg)
+// .Lane(0)): a sequential world serves every keyword from one market,
+// so cross-keyword budgets are exact there, with no snapshot staleness.
+type SimWorldOpts = engine.MarketOpts
 
-// NewSimWorldOpts builds a simulation world from an options bundle —
-// the full constructor behind the positional NewSimWorld variants.
+// NewSimWorldOpts builds a simulation world from an options bundle.
 func NewSimWorldOpts(inst *SimInstance, o SimWorldOpts) *SimWorld {
-	return strategy.NewWorldOpts(inst, o)
+	return engine.NewMarketOpts(inst, o)
 }
 
 // Concurrent serving (the keyword-sharded engine).
 type (
 	// Engine is the concurrent keyword-sharded serving engine: one
-	// independent market per keyword, one worker goroutine per shard,
-	// bounded queues with backpressure, and per-keyword sequential
-	// equivalence to SimWorld as its correctness contract.
+	// independent market per keyword, one persistent worker goroutine
+	// per shard (started by NewEngine, stopped by Close), bounded
+	// queues with backpressure, and per-keyword sequential equivalence
+	// to SimWorld as its correctness contract.
 	Engine = engine.Engine
 	// EngineConfig tunes shard count, queue depth, winner-determination
 	// method, payment rule (GSP or VCG), click seed, and the keyword
@@ -352,7 +352,8 @@ type (
 	EngineStats = engine.Stats
 )
 
-// NewEngine builds a serving engine over a Section V instance.
+// NewEngine builds a serving engine over a Section V instance and
+// starts its shard workers; Close it when done.
 func NewEngine(inst *SimInstance, cfg EngineConfig) *Engine {
 	return engine.New(inst, cfg)
 }
@@ -365,8 +366,8 @@ func KeywordClickSeed(base int64, q int) int64 { return engine.KeywordSeed(base,
 // Open-world streaming (the long-running serving layer).
 type (
 	// StreamServer is the long-running open-world front end over the
-	// sharded engine: persistent per-shard workers fed by Submit and
-	// SubmitText, bounded queues with a block-or-shed admission policy,
+	// sharded engine: Submit and SubmitText feed the engine's shard
+	// workers through bounded queues with a block-or-shed admission policy,
 	// live advertiser churn applied at auction boundaries through
 	// per-shard epoch fences, and a graceful Close that drains every
 	// queue and flushes the final statistics. Its contract is the
@@ -519,12 +520,10 @@ func AttachBudgets(seed int64, inst *SimInstance, meanAuctions float64) {
 	workload.AttachBudgets(rand.New(rand.NewSource(seed)), inst, meanAuctions)
 }
 
-// NewSimWorldBudget is NewSimWorldPriced with budget enforcement: the
-// sequential world owns a single-lane ledger over inst.Budget (exact,
-// staleness-free — one market sees all keywords), reachable via
-// World.BudgetLane().Ledger().
-func NewSimWorldBudget(inst *SimInstance, m SimMethod, pricing SimPricing, clickSeed int64, cfg BudgetConfig) *SimWorld {
-	return strategy.NewWorldBudget(inst, m, pricing, clickSeed, cfg)
+// NewBudgetLedger builds a fresh spend ledger over inst.Budget with
+// the given number of lanes (one per market that will charge it).
+func NewBudgetLedger(inst *SimInstance, lanes int, cfg BudgetConfig) *BudgetLedger {
+	return budget.NewLedger(inst.N, lanes, inst.Budget, cfg)
 }
 
 // Durable budgets (the internal/journal subsystem): budget spend is
@@ -611,13 +610,11 @@ type (
 	// NetBatchResult aggregates one batch-submit call.
 	NetBatchResult = wire.BatchResult
 	// NetServerStats is the server-side stats snapshot a client can
-	// request over the wire (also returned by a graceful drain).
+	// request over the wire (also returned by a graceful drain): the
+	// counter block plus the server's lifetime auction-latency
+	// histogram, so a remote client can compute any percentile without
+	// a metrics endpoint (NetServerStats.Latency).
 	NetServerStats = wire.ServerStats
-	// NetServerStatsV2 is the extended stats snapshot: the counter
-	// block plus the server's lifetime auction-latency histogram, so a
-	// remote client can compute any percentile without a metrics
-	// endpoint (NetClient.StatsV2).
-	NetServerStatsV2 = wire.ServerStatsV2
 )
 
 // ListenNetServer builds the stream server over inst, binds addr
