@@ -20,7 +20,7 @@ package ssa
 // One figure:      go test -bench=Fig13 -benchmem
 //
 // The cmd/experiments binary produces the same sweeps as aligned
-// tables (and drives EXPERIMENTS.md).
+// tables with the paper's cold-start protocol.
 
 import (
 	"fmt"

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -239,29 +240,24 @@ func TestBudgetPacedSmoothsSpend(t *testing.T) {
 // TestBudgetSteadyStateAllocs: the budget-enabled hot path — gate
 // consults, charges, and periodic publishes — adds zero allocations
 // per auction on both the explicit RH and the TALU serving paths,
-// under both policies.
+// under both policies, at n=300 and the Section V n=1000.
 func TestBudgetSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
-	for _, method := range []Method{MethodRH, MethodRHTALU} {
-		for _, pol := range []budget.Policy{budget.PolicyHard, budget.PolicyPaced} {
-			inst := workload.Generate(rand.New(rand.NewSource(96)), 300, workload.DefaultSlots, workload.DefaultKeywords)
-			workload.AttachBudgets(rand.New(rand.NewSource(97)), inst, 150)
-			m := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 7,
-				Lane: budget.NewLedger(inst.N, 1, inst.Budget, budget.Config{Policy: pol, RefreshEvery: 16, Horizon: 1000, Seed: 5}).Lane(0)})
-			queries := inst.Queries(rand.New(rand.NewSource(98)), 2000)
-			for _, q := range queries {
-				m.Run(q)
-			}
-			var qi int
-			allocs := testing.AllocsPerRun(300, func() {
-				m.Run(queries[qi%len(queries)])
-				qi++
-			})
-			if allocs != 0 {
-				t.Fatalf("method=%v policy=%v: budget-enabled steady state allocates %.2f objects/op, want 0",
-					method, pol, allocs)
+	for _, n := range []int{300, 1000} {
+		for _, method := range []Method{MethodRH, MethodRHTALU} {
+			for _, pol := range []budget.Policy{budget.PolicyHard, budget.PolicyPaced} {
+				t.Run(fmt.Sprintf("n=%d/%v/%v", n, method, pol), func(t *testing.T) {
+					inst := workload.Generate(rand.New(rand.NewSource(96)), n, workload.DefaultSlots, workload.DefaultKeywords)
+					workload.AttachBudgets(rand.New(rand.NewSource(97)), inst, 150)
+					m := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 7,
+						Lane: budget.NewLedger(inst.N, 1, inst.Budget, budget.Config{Policy: pol, RefreshEvery: 16, Horizon: 1000, Seed: 5}).Lane(0)})
+					queries := inst.Queries(rand.New(rand.NewSource(98)), 2000)
+					if allocs := warmAllocs(m, queries, len(queries), 300); allocs != 0 {
+						t.Fatalf("budget-enabled steady state allocates %.2f objects/op, want 0", allocs)
+					}
+				})
 			}
 		}
 	}

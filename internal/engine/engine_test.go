@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/racetest"
 	"repro/internal/workload"
@@ -226,13 +226,8 @@ func TestEngineCloseStopsWorkers(t *testing.T) {
 		e.Close()
 	}
 	// Close waits for every worker's last statement, not for the
-	// runtime to retire the goroutine; give that a moment.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after 50 New/Serve/Close rounds", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// runtime to retire the goroutine.
+	waitGoroutines(t, before)
 }
 
 // TestEngineServeTextMixedAccounting: under a long interleaved stream
@@ -304,29 +299,43 @@ func TestMarketRunMatchesRunAuction(t *testing.T) {
 	}
 }
 
+// warmAllocs serves the first warm queries on m, then returns the
+// allocations per auction over runs more, cycling through queries.
+func warmAllocs(m *Market, queries []int, warm, runs int) float64 {
+	for _, q := range queries[:warm] {
+		m.Run(q)
+	}
+	next := warm
+	return testing.AllocsPerRun(runs, func() {
+		m.Run(queries[next%len(queries)])
+		next++
+	})
+}
+
+// marketSizeAllocs checks one method's warm auction on the Section V
+// shape (15 slots, 10 keywords) at Figure 12/13 sizes. The n=5000
+// market is slow, so it measures fewer auctions, not a smaller n.
+func marketSizeAllocs(t *testing.T, method Method) {
+	if racetest.Enabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	for _, tc := range []struct{ n, runs int }{{500, 1000}, {1000, 500}, {5000, 100}} {
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			inst := workload.Generate(rand.New(rand.NewSource(70)), tc.n, 15, 10)
+			queries := inst.Queries(rand.New(rand.NewSource(71)), 4096)
+			m := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 7})
+			if allocs := warmAllocs(m, queries, 2048, tc.runs); allocs != 0 {
+				t.Fatalf("steady-state %v auction allocates %.2f objects/op, want 0", method, allocs)
+			}
+		})
+	}
+}
+
 // TestMarketSteadyStateAllocs is the allocation-free guarantee of the
 // serving hot path: after warmup, MethodRH auctions must not allocate
 // at all — selection, reduced matching, pricing, click simulation, and
 // accounting all run in reused buffers.
-func TestMarketSteadyStateAllocs(t *testing.T) {
-	if racetest.Enabled {
-		t.Skip("allocation accounting is perturbed under -race")
-	}
-	inst := workload.Generate(rand.New(rand.NewSource(70)), 500, 15, 10)
-	queries := inst.Queries(rand.New(rand.NewSource(71)), 4096)
-	m := NewMarketOpts(inst, MarketOpts{Method: MethodRH, ClickSeed: 7})
-	for _, q := range queries[:2048] {
-		m.Run(q)
-	}
-	next := 2048
-	allocs := testing.AllocsPerRun(1000, func() {
-		m.Run(queries[next%len(queries)])
-		next++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state RH auction allocates %.2f objects/op, want 0", allocs)
-	}
-}
+func TestMarketSteadyStateAllocs(t *testing.T) { marketSizeAllocs(t, MethodRH) }
 
 // TestTALUSteadyStateAllocs extends the zero-allocation guarantee to
 // the paper's own fast path: after warmup, a MethodRHTALU auction —
@@ -335,25 +344,7 @@ func TestMarketSteadyStateAllocs(t *testing.T) {
 // pricing, clicks, accounting, and the winners' recomputes (including
 // treap membership churn, recycled through the per-keyword node
 // pools) — must not allocate at all.
-func TestTALUSteadyStateAllocs(t *testing.T) {
-	if racetest.Enabled {
-		t.Skip("allocation accounting is perturbed under -race")
-	}
-	inst := workload.Generate(rand.New(rand.NewSource(70)), 500, 15, 10)
-	queries := inst.Queries(rand.New(rand.NewSource(71)), 4096)
-	m := NewMarketOpts(inst, MarketOpts{Method: MethodRHTALU, ClickSeed: 7})
-	for _, q := range queries[:2048] {
-		m.Run(q)
-	}
-	next := 2048
-	allocs := testing.AllocsPerRun(1000, func() {
-		m.Run(queries[next%len(queries)])
-		next++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state TALU auction allocates %.2f objects/op, want 0", allocs)
-	}
-}
+func TestTALUSteadyStateAllocs(t *testing.T) { marketSizeAllocs(t, MethodRHTALU) }
 
 // stormInstance hand-builds a workload where every bidder shares the
 // same click value, target, and starting bid: all start underspending

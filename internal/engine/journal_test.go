@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -239,38 +240,34 @@ func TestEngineCloseIdempotent(t *testing.T) {
 // click path its allocation-freedom — charges batch into the lane's
 // preallocated buffer and the writer's append path reuses its encode
 // buffer, so the journaled steady state stays at 0 allocs/op on both
-// serving paths. (CI runs this by the SteadyStateAllocs pattern; the
-// complementary gate is BenchmarkMarketSteadyStateBudgetJournal.)
+// serving paths, at n=300 and the Section V n=1000. (CI runs this by
+// the SteadyStateAllocs pattern.)
 func TestBudgetJournalSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
-	for _, method := range []Method{MethodRH, MethodRHTALU} {
-		inst := workload.Generate(rand.New(rand.NewSource(331)), 300, workload.DefaultSlots, workload.DefaultKeywords)
-		workload.AttachBudgets(rand.New(rand.NewSource(332)), inst, 150)
-		w, err := journal.Open(t.TempDir(), journal.Options{SnapshotEvery: 1 << 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		led := budget.NewLedger(inst.N, 1, inst.Budget, budget.Config{Policy: budget.PolicyHard, RefreshEvery: 16})
-		if err := led.AttachJournal(w); err != nil {
-			t.Fatal(err)
-		}
-		m := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 7, Lane: led.Lane(0)})
-		queries := inst.Queries(rand.New(rand.NewSource(333)), 2000)
-		for _, q := range queries {
-			m.Run(q)
-		}
-		var qi int
-		allocs := testing.AllocsPerRun(300, func() {
-			m.Run(queries[qi%len(queries)])
-			qi++
-		})
-		if allocs != 0 {
-			t.Fatalf("method=%v: journaled steady state allocates %.2f objects/op, want 0", method, allocs)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{300, 1000} {
+		for _, method := range []Method{MethodRH, MethodRHTALU} {
+			t.Run(fmt.Sprintf("n=%d/%v", n, method), func(t *testing.T) {
+				inst := workload.Generate(rand.New(rand.NewSource(331)), n, workload.DefaultSlots, workload.DefaultKeywords)
+				workload.AttachBudgets(rand.New(rand.NewSource(332)), inst, 150)
+				w, err := journal.Open(t.TempDir(), journal.Options{SnapshotEvery: 1 << 30})
+				if err != nil {
+					t.Fatal(err)
+				}
+				led := budget.NewLedger(inst.N, 1, inst.Budget, budget.Config{Policy: budget.PolicyHard, RefreshEvery: 16})
+				if err := led.AttachJournal(w); err != nil {
+					t.Fatal(err)
+				}
+				m := NewMarketOpts(inst, MarketOpts{Method: method, ClickSeed: 7, Lane: led.Lane(0)})
+				queries := inst.Queries(rand.New(rand.NewSource(333)), 2000)
+				if allocs := warmAllocs(m, queries, len(queries), 300); allocs != 0 {
+					t.Fatalf("journaled steady state allocates %.2f objects/op, want 0", allocs)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

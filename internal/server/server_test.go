@@ -369,31 +369,36 @@ func TestServerIdentityUnderShed(t *testing.T) {
 // TestServerSteadyStateAllocs: the full loopback round trip — client
 // encode, socket write, server decode, shard queue, auction, outcome
 // encode on the shard goroutine, socket write back, client decode and
-// copy-out — allocates nothing per auction once warm. This is the
-// test-side twin of the BenchmarkServerSteadyState CI gate.
+// copy-out — allocates nothing per auction once warm, under both
+// winner-determination pipelines. AllocsPerRun counts process-wide,
+// so the server's goroutines are measured too.
 func TestServerSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
-	inst := workload.Generate(rand.New(rand.NewSource(7)), 100, 5, 8)
-	s := listen(t, inst, server.Config{Stream: stream.Config{
-		Engine: engine.Config{Shards: 2, QueueDepth: 64, Method: engine.MethodRH, ClickSeed: 5},
-	}})
-	c := dial(t, s, client.Options{})
-	var out wire.Outcome
-	for i := 0; i < 2048; i++ {
-		if err := c.AuctionInto(i%inst.Keywords, &out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(1500, func() {
-		if err := c.AuctionInto(next%inst.Keywords, &out); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state networked auction allocates %.2f objects/op, want 0", allocs)
+	for _, method := range []engine.Method{engine.MethodRH, engine.MethodRHTALU} {
+		t.Run(method.String(), func(t *testing.T) {
+			inst := workload.Generate(rand.New(rand.NewSource(7)), 100, 5, 8)
+			s := listen(t, inst, server.Config{Stream: stream.Config{
+				Engine: engine.Config{Shards: 2, QueueDepth: 64, Method: method, ClickSeed: 5},
+			}})
+			c := dial(t, s, client.Options{})
+			var out wire.Outcome
+			for i := 0; i < 2048; i++ {
+				if err := c.AuctionInto(i%inst.Keywords, &out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(1500, func() {
+				if err := c.AuctionInto(next%inst.Keywords, &out); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state networked auction allocates %.2f objects/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -169,34 +169,38 @@ func TestBroadmatchShedIdentity(t *testing.T) {
 // TestBroadmatchSteadyStateAllocs pins the router-path allocation
 // contract end to end: SubmitText through broad-match routing, the
 // shard queue, the weighted auction, and the rolling window must not
-// allocate once warm.
+// allocate once warm, under both winner-determination pipelines.
 func TestBroadmatchSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
-	inst := workload.Generate(rand.New(rand.NewSource(57)), 300, 8, 6)
-	names := workload.BigramKeywordNames(inst.Keywords)
-	s := NewServer(inst, Config{
-		Engine: engine.Config{
-			Shards: 2, QueueDepth: 64, Method: engine.MethodRH, ClickSeed: 9,
-			KeywordNames: names,
-			Broadmatch:   broadmatch.Config{Enabled: true, Threshold: 0.4, Squash: 0.5, Seed: 81},
-			Reserve:      3,
-		},
-		Window: 256,
-	})
-	texts := workload.TextQueries(rand.New(rand.NewSource(58)), inst.Keywords, 4096, 3, 1.2)
-	for _, q := range texts[:2048] {
-		s.SubmitText(q)
+	for _, method := range []engine.Method{engine.MethodRH, engine.MethodRHTALU} {
+		t.Run(method.String(), func(t *testing.T) {
+			inst := workload.Generate(rand.New(rand.NewSource(57)), 300, 8, 6)
+			names := workload.BigramKeywordNames(inst.Keywords)
+			s := NewServer(inst, Config{
+				Engine: engine.Config{
+					Shards: 2, QueueDepth: 64, Method: method, ClickSeed: 9,
+					KeywordNames: names,
+					Broadmatch:   broadmatch.Config{Enabled: true, Threshold: 0.4, Squash: 0.5, Seed: 81},
+					Reserve:      3,
+				},
+				Window: 256,
+			})
+			texts := workload.TextQueries(rand.New(rand.NewSource(58)), inst.Keywords, 4096, 3, 1.2)
+			for _, q := range texts[:2048] {
+				s.SubmitText(q)
+			}
+			next := 2048
+			allocs := testing.AllocsPerRun(1500, func() {
+				s.SubmitText(texts[next%len(texts)])
+				next++
+			})
+			st := s.Close()
+			if allocs != 0 {
+				t.Fatalf("steady-state broad-match submit allocates %.2f objects/op, want 0", allocs)
+			}
+			broadIdentity(t, "allocs", st)
+		})
 	}
-	next := 2048
-	allocs := testing.AllocsPerRun(1500, func() {
-		s.SubmitText(texts[next%len(texts)])
-		next++
-	})
-	st := s.Close()
-	if allocs != 0 {
-		t.Fatalf("steady-state broad-match submit allocates %.2f objects/op, want 0", allocs)
-	}
-	broadIdentity(t, "allocs", st)
 }

@@ -47,7 +47,9 @@ func promValue(t *testing.T, prom []byte, name string) float64 {
 // stream admission counters, the networked tier's frame-kind lanes,
 // and a live 1-in-8 trace sampler — still allocate nothing per
 // auction once warm. RH and TALU cover both winner-determination
-// pipelines through the streaming layer; the server subtest measures
+// pipelines through the streaming layer (and the sampler must have
+// recorded into the ring); the render subtest scrapes a live serving
+// stack's registry into its reused buffer; the server subtest measures
 // the loopback round trip process-wide with a client RTT histogram
 // recording on top.
 func TestObsSteadyStateAllocs(t *testing.T) {
@@ -79,8 +81,30 @@ func TestObsSteadyStateAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("instrumented steady-state submit allocates %.2f objects/op, want 0", allocs)
 			}
+			if ring := s.Engine().TraceRing(); ring == nil || ring.Total() == 0 {
+				t.Fatal("trace sampler recorded nothing")
+			}
 		})
 	}
+	t.Run("render", func(t *testing.T) {
+		inst := GenerateInstance(42, 1000, DefaultSlots, DefaultKeywords)
+		s := NewStreamServer(inst, StreamConfig{
+			Engine: EngineConfig{Shards: 2, QueueDepth: 256, Method: SimRH, ClickSeed: 7},
+		})
+		defer s.Close()
+		for _, q := range QueryStream(inst, 9, 2000) {
+			s.Submit(q)
+		}
+		for s.Stats().Pending > 0 { // the count is process-wide: let the shards go idle
+			runtime.Gosched()
+		}
+		reg := s.Engine().Metrics().Registry
+		reg.Render() // grows the exposition buffer to its final size
+		allocs := testing.AllocsPerRun(100, func() { reg.Render() })
+		if allocs != 0 {
+			t.Fatalf("rendering a live registry allocates %.2f objects/scrape, want 0", allocs)
+		}
+	})
 	t.Run("server", func(t *testing.T) {
 		inst := workload.Generate(rand.New(rand.NewSource(7)), 100, 5, 8)
 		s, err := server.Listen("127.0.0.1:0", inst, server.Config{Stream: stream.Config{
