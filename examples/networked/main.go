@@ -81,13 +81,6 @@ func main() {
 	}
 	wg.Wait()
 
-	// Batch submit and a server-side stats snapshot, same connection.
-	br, err := c.Batch([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("batch: served %d/%d, revenue %.0f\n", br.Served, br.Requested, br.Revenue)
-
 	// One mid-run scrape: the registry is the accounting, readable
 	// while shards serve.
 	resp, err := http.Get("http://" + ms.Addr() + "/metrics")

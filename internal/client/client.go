@@ -14,8 +14,9 @@
 // response. Slot payloads decode into per-slot reused buffers and the
 // results are copied into caller-owned storage (AuctionInto) before
 // the slot is released, so a warm caller's auction loop allocates
-// nothing end to end — the guarantee BenchmarkServerSteadyState gates
-// through the full client → server → client path.
+// nothing end to end — the guarantee TestServerSteadyStateAllocs
+// gates through the full client → server → client path. Every public
+// call is a thin wrapper over one private call path.
 //
 // # Failure model
 //
@@ -25,7 +26,10 @@
 // with it, and closes the socket. Per-request dispositions that are
 // not failures of the connection — shed, rejected, unrouted — are
 // typed sentinel errors (ErrShed, ErrRejected, ErrUnrouted) the
-// load-generator counts rather than fears.
+// load-generator counts rather than fears. One mapping turns a
+// response into a call's result, the same for every call: its success
+// kind, a disposition sentinel, the server's KindError message, or an
+// error naming a kind the call does not expect.
 package client
 
 import (
@@ -115,9 +119,11 @@ type Conn struct {
 	bw  *bufio.Writer
 	enc []byte
 
-	slots   []slot
-	free    chan int32
-	pending atomic.Int64 // calls awaiting a response (timeout arming)
+	slots []slot
+	free  chan int32
+
+	tmu     sync.Mutex // guards pending and the read deadline (track)
+	pending int        // calls awaiting a response
 
 	emu  sync.Mutex
 	err  error
@@ -247,6 +253,44 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// call is the one request path every public call wraps: take a slot,
+// encode the request with enc and send it, wait for the response, map
+// its kind (result), let use copy the success payload out of the
+// slot's reused buffers, and release the slot. want is the call's
+// success kind; KindOutcome marks an auction-carrying call, whose
+// round trip Options.RTT records.
+func (c *Conn) call(want wire.Kind, enc func(dst []byte, id uint64) []byte, use func(*wire.Response)) error {
+	si, err := c.acquire()
+	if err != nil {
+		return err
+	}
+	rtt := want == wire.KindOutcome && c.opts.RTT != nil
+	var t0 time.Time
+	if rtt {
+		t0 = time.Now()
+	}
+	if err := c.send(si, enc); err != nil {
+		return err
+	}
+	c.track(1)
+	resp, err := c.wait(si)
+	if err != nil {
+		return err
+	}
+	c.track(-1)
+	if rtt {
+		c.opts.RTT.Record(time.Since(t0).Nanoseconds())
+	}
+	defer c.release(si)
+	if err := result(resp, want); err != nil {
+		return err
+	}
+	if use != nil {
+		use(resp)
+	}
+	return nil
+}
+
 // acquire blocks for a free slot (or the connection's death).
 func (c *Conn) acquire() (int32, error) {
 	select {
@@ -260,9 +304,7 @@ func (c *Conn) acquire() (int32, error) {
 // send encodes under the write lock via enc (a frame appender over
 // the shared buffer) and flushes.
 func (c *Conn) send(si int32, enc func(dst []byte, id uint64) []byte) error {
-	sl := &c.slots[si]
-	sl.inflight.Store(true)
-	c.pending.Add(1)
+	c.slots[si].inflight.Store(true)
 	c.wmu.Lock()
 	c.enc = enc(c.enc[:0], uint64(si))
 	_, err := c.bw.Write(c.enc)
@@ -271,15 +313,32 @@ func (c *Conn) send(si int32, enc func(dst []byte, id uint64) []byte) error {
 	}
 	c.wmu.Unlock()
 	if err != nil {
-		c.pending.Add(-1)
 		c.fatal(fmt.Errorf("client: write: %w", err))
 		return c.Err()
 	}
-	if c.opts.Timeout > 0 {
+	return nil
+}
+
+// track counts a sent call in (+1) or an answered one out (-1) and
+// moves the read deadline with the count, under one lock: every call
+// sent re-arms it Timeout ahead, and the answer that leaves none
+// waiting clears it. Changing the two together is what keeps a
+// completion from clearing the deadline a concurrent call has just
+// armed. Without a Timeout it touches neither.
+func (c *Conn) track(delta int) {
+	if c.opts.Timeout <= 0 {
+		return
+	}
+	c.tmu.Lock()
+	defer c.tmu.Unlock()
+	c.pending += delta
+	switch {
+	case delta > 0:
 		// Concurrent SetReadDeadline re-arms even a blocked read.
 		c.nc.SetReadDeadline(time.Now().Add(c.opts.Timeout))
+	case c.pending == 0:
+		c.nc.SetReadDeadline(time.Time{})
 	}
-	return nil
 }
 
 // wait parks until the slot's response arrives; the caller must copy
@@ -298,9 +357,6 @@ func (c *Conn) wait(si int32) (*wire.Response, error) {
 		}
 		return nil, c.Err()
 	}
-	if n := c.pending.Add(-1); n == 0 && c.opts.Timeout > 0 {
-		c.nc.SetReadDeadline(time.Time{})
-	}
 	return &sl.resp, nil
 }
 
@@ -313,6 +369,27 @@ func (c *Conn) release(si int32) {
 // call concurrently with serving calls.
 func (c *Conn) Inflight() int {
 	return len(c.slots) - len(c.free)
+}
+
+// result maps a response to its call's documented result: nil for the
+// call's success kind want, ErrShed, ErrRejected wrapped with the
+// reason, ErrUnrouted, the server's message for KindError, and an
+// error naming any other kind. None of them fails the connection.
+func result(resp *wire.Response, want wire.Kind) error {
+	switch resp.Kind {
+	case want:
+		return nil
+	case wire.KindShed:
+		return ErrShed
+	case wire.KindRejected:
+		return rejectedErr(resp.Reason)
+	case wire.KindUnrouted:
+		return ErrUnrouted
+	case wire.KindError:
+		return fmt.Errorf("client: server error: %s", resp.Msg)
+	default:
+		return fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
+	}
 }
 
 // rejectedErr maps a KindRejected reason into ErrRejected-wrapped
@@ -341,117 +418,17 @@ func rejectedErr(r wire.RejectReason) error {
 // call. Dispositions: nil with the outcome filled, ErrShed,
 // ErrRejected, or a sticky connection error.
 func (c *Conn) AuctionInto(q int, out *wire.Outcome) error {
-	si, err := c.acquire()
-	if err != nil {
-		return err
-	}
-	var t0 time.Time
-	if c.opts.RTT != nil {
-		t0 = time.Now()
-	}
-	if err := c.send(si, func(dst []byte, id uint64) []byte {
+	return c.call(wire.KindOutcome, func(dst []byte, id uint64) []byte {
 		return wire.AppendAuctionReq(dst, id, q)
-	}); err != nil {
-		return err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return err
-	}
-	if c.opts.RTT != nil {
-		c.opts.RTT.Record(time.Since(t0).Nanoseconds())
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindOutcome:
-		out.CopyFrom(&resp.Out)
-		return nil
-	case wire.KindShed:
-		return ErrShed
-	case wire.KindRejected:
-		return rejectedErr(resp.Reason)
-	case wire.KindError:
-		return fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
-}
-
-// Auction is AuctionInto with a freshly allocated outcome.
-func (c *Conn) Auction(q int) (*wire.Outcome, error) {
-	var out wire.Outcome
-	if err := c.AuctionInto(q, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	}, func(r *wire.Response) { out.CopyFrom(&r.Out) })
 }
 
 // TextInto routes free text server-side and runs the matched
 // keyword's auction; ErrUnrouted when no keyword matches.
 func (c *Conn) TextInto(query string, out *wire.Outcome) error {
-	si, err := c.acquire()
-	if err != nil {
-		return err
-	}
-	var t0 time.Time
-	if c.opts.RTT != nil {
-		t0 = time.Now()
-	}
-	if err := c.send(si, func(dst []byte, id uint64) []byte {
+	return c.call(wire.KindOutcome, func(dst []byte, id uint64) []byte {
 		return wire.AppendTextReq(dst, id, query)
-	}); err != nil {
-		return err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return err
-	}
-	if c.opts.RTT != nil {
-		c.opts.RTT.Record(time.Since(t0).Nanoseconds())
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindOutcome:
-		out.CopyFrom(&resp.Out)
-		return nil
-	case wire.KindUnrouted:
-		return ErrUnrouted
-	case wire.KindShed:
-		return ErrShed
-	case wire.KindRejected:
-		return rejectedErr(resp.Reason)
-	case wire.KindError:
-		return fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
-}
-
-// Batch submits qs under one request and one server window slot,
-// returning the aggregate dispositions.
-func (c *Conn) Batch(qs []int) (wire.BatchResult, error) {
-	si, err := c.acquire()
-	if err != nil {
-		return wire.BatchResult{}, err
-	}
-	if err := c.send(si, func(dst []byte, id uint64) []byte {
-		return wire.AppendBatchReq(dst, id, qs)
-	}); err != nil {
-		return wire.BatchResult{}, err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return wire.BatchResult{}, err
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindBatchResult:
-		return resp.Batch, nil
-	case wire.KindError:
-		return wire.BatchResult{}, fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return wire.BatchResult{}, fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
+	}, func(r *wire.Response) { out.CopyFrom(&r.Out) })
 }
 
 // Stats snapshots the server's connection-layer counters, the stream
@@ -459,7 +436,7 @@ func (c *Conn) Batch(qs []int) (wire.BatchResult, error) {
 // ServerStats.Latency for any percentile). The returned Buckets slice
 // is caller-owned.
 func (c *Conn) Stats() (wire.ServerStats, error) {
-	return c.statsCall(wire.AppendStatsReq)
+	return c.stats(wire.KindStats)
 }
 
 // Drain asks the server to gracefully drain — intake stops, every
@@ -467,112 +444,39 @@ func (c *Conn) Stats() (wire.ServerStats, error) {
 // frame Stats returns. The call legitimately blocks for the full
 // drain.
 func (c *Conn) Drain() (wire.ServerStats, error) {
-	return c.statsCall(wire.AppendDrainReq)
+	return c.stats(wire.KindDrain)
 }
 
-func (c *Conn) statsCall(enc func([]byte, uint64) []byte) (wire.ServerStats, error) {
-	si, err := c.acquire()
-	if err != nil {
-		return wire.ServerStats{}, err
-	}
-	if err := c.send(si, enc); err != nil {
-		return wire.ServerStats{}, err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return wire.ServerStats{}, err
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindStatsResult:
-		st := resp.Stats
+func (c *Conn) stats(kind wire.Kind) (st wire.ServerStats, err error) {
+	err = c.call(wire.KindStatsResult, func(dst []byte, id uint64) []byte {
+		return wire.AppendEmpty(dst, kind, id)
+	}, func(r *wire.Response) {
+		st = r.Stats
 		// The decode reuses the slot's bucket slice; copy out.
 		st.Buckets = append([]wire.HistBucket(nil), st.Buckets...)
-		return st, nil
-	case wire.KindError:
-		return wire.ServerStats{}, fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return wire.ServerStats{}, fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
+	})
+	return st, err
 }
 
 // ResetBudgets issues the "next day" budget-reset fence via the wire.
 func (c *Conn) ResetBudgets() error {
-	return c.okCall(wire.AppendResetReq)
-}
-
-func (c *Conn) okCall(enc func([]byte, uint64) []byte) error {
-	si, err := c.acquire()
-	if err != nil {
-		return err
-	}
-	if err := c.send(si, enc); err != nil {
-		return err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return err
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindOK:
-		return nil
-	case wire.KindError:
-		return fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
+	return c.call(wire.KindOK, func(dst []byte, id uint64) []byte {
+		return wire.AppendEmpty(dst, wire.KindReset, id)
+	}, nil)
 }
 
 // AddAdvertiser admits a into the live population (an epoch-fence
 // churn via the wire) and returns the new advertiser index.
-func (c *Conn) AddAdvertiser(a *workload.Advertiser) (int, error) {
-	si, err := c.acquire()
-	if err != nil {
-		return 0, err
-	}
-	if err := c.send(si, func(dst []byte, id uint64) []byte {
+func (c *Conn) AddAdvertiser(a *workload.Advertiser) (idx int, err error) {
+	err = c.call(wire.KindAdded, func(dst []byte, id uint64) []byte {
 		return wire.AppendAddReq(dst, id, a)
-	}); err != nil {
-		return 0, err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return 0, err
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindAdded:
-		return resp.Index, nil
-	case wire.KindError:
-		return 0, fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return 0, fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
+	}, func(r *wire.Response) { idx = r.Index })
+	return idx, err
 }
 
 // RemoveAdvertiser evicts advertiser i via the wire.
 func (c *Conn) RemoveAdvertiser(i int) error {
-	si, err := c.acquire()
-	if err != nil {
-		return err
-	}
-	if err := c.send(si, func(dst []byte, id uint64) []byte {
+	return c.call(wire.KindOK, func(dst []byte, id uint64) []byte {
 		return wire.AppendRemoveReq(dst, id, i)
-	}); err != nil {
-		return err
-	}
-	resp, err := c.wait(si)
-	if err != nil {
-		return err
-	}
-	defer c.release(si)
-	switch resp.Kind {
-	case wire.KindOK:
-		return nil
-	case wire.KindError:
-		return fmt.Errorf("client: server error: %s", resp.Msg)
-	default:
-		return fmt.Errorf("client: unexpected response kind 0x%02x", uint8(resp.Kind))
-	}
+	}, nil)
 }

@@ -2,12 +2,15 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,16 +149,64 @@ func TestShedAndRejectedMapping(t *testing.T) {
 	}
 }
 
-// TestDialOldProtocolPeer: a peer that answers the handshake with the
+// TestDialOldProtocolPeer: a peer that answers the handshake with a
 // previous protocol's magic is refused with an error naming both
 // versions — promptly, not after a hang.
 func TestDialOldProtocolPeer(t *testing.T) {
+	for _, old := range []string{"SSAWIR01", "SSAWIR02"} {
+		t.Run(old, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer nc.Close()
+				var magic [len(wire.Magic)]byte
+				if _, err := io.ReadFull(nc, magic[:]); err != nil {
+					return
+				}
+				nc.Write(append([]byte(old), wire.HandshakeOK))
+				io.Copy(io.Discard, nc) // stay open: the client must not wait for a close
+			}()
+			start := time.Now()
+			c, err := Dial(ln.Addr().String(), Options{DialTimeout: 5 * time.Second})
+			if err == nil {
+				c.Close()
+				t.Fatal("dial to an old-protocol peer succeeded")
+			}
+			if !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), wire.Magic) {
+				t.Fatalf("handshake error does not name both protocol versions: %v", err)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Fatalf("handshake mismatch took %v to report", d)
+			}
+		})
+	}
+}
+
+// rawPeer is a fake server built from raw frames: it accepts one
+// connection, answers the handshake OK, and answers each decoded
+// request with the frame reply returns — or with nothing when reply
+// returns nil. reply runs on the peer's goroutine, one request at a
+// time.
+func rawPeer(t *testing.T, reply func(req *wire.Request) []byte) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
 	go func() {
+		defer close(done)
 		nc, err := ln.Accept()
 		if err != nil {
 			return
@@ -165,19 +216,212 @@ func TestDialOldProtocolPeer(t *testing.T) {
 		if _, err := io.ReadFull(nc, magic[:]); err != nil {
 			return
 		}
-		nc.Write(append([]byte("SSAWIR01"), wire.HandshakeOK))
-		io.Copy(io.Discard, nc) // stay open: the client must not wait for a close
+		if _, err := nc.Write(append([]byte(wire.Magic), wire.HandshakeOK)); err != nil {
+			return
+		}
+		fr := wire.NewFrameReader(nc, 0)
+		var req wire.Request
+		for {
+			p, err := fr.Next()
+			if err != nil {
+				return // the client closed the connection
+			}
+			if err := req.Decode(p); err != nil {
+				t.Errorf("peer: %v", err)
+				return
+			}
+			if b := reply(&req); b != nil {
+				if _, err := nc.Write(b); err != nil {
+					return
+				}
+			}
+		}
 	}()
-	start := time.Now()
-	c, err := Dial(ln.Addr().String(), Options{DialTimeout: 5 * time.Second})
-	if err == nil {
-		c.Close()
-		t.Fatal("dial to an old-protocol peer succeeded")
+	return ln.Addr().String()
+}
+
+// TestResponseMapping: every public call, answered with each response
+// kind, gives its documented result — nil and the decoded value for
+// its success kind, ErrShed, ErrRejected naming each reason,
+// ErrUnrouted, the server's KindError message, and an error naming a
+// kind the call never expects — and no result fails the connection.
+func TestResponseMapping(t *testing.T) {
+	type answer struct {
+		kind   wire.Kind
+		reason wire.RejectReason
 	}
-	if !strings.Contains(err.Error(), "SSAWIR01") || !strings.Contains(err.Error(), wire.Magic) {
-		t.Fatalf("handshake error does not name both protocol versions: %v", err)
+	next := make(chan answer, 1)
+	addr := rawPeer(t, func(req *wire.Request) []byte {
+		a := <-next
+		switch a.kind {
+		case wire.KindOutcome:
+			return wire.AppendOutcomeResp(nil, req.ID, &engine.Outcome{
+				Query: 3, Revenue: 1.5, AdvOf: []int{2},
+				PricePerClick: []float64{1.5}, Clicked: []bool{true},
+			})
+		case wire.KindStatsResult:
+			return wire.AppendStatsResp(nil, req.ID, &wire.ServerStats{
+				Submitted: 9, HistCount: 9, Buckets: []wire.HistBucket{{Index: 4, Count: 9}},
+			})
+		case wire.KindAdded:
+			return wire.AppendAddedResp(nil, req.ID, 41)
+		case wire.KindRejected:
+			return wire.AppendRejectedResp(nil, req.ID, a.reason)
+		case wire.KindError:
+			return wire.AppendErrorResp(nil, req.ID, "boom")
+		default: // KindShed, KindOK, KindUnrouted
+			return wire.AppendEmpty(nil, a.kind, req.ID)
+		}
+	})
+	c, err := Dial(addr, Options{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("handshake mismatch took %v to report", d)
+	defer c.Close()
+
+	adv := workload.Advertiser{Value: []int{1}, ClickProb: []float64{0.5}}
+	outcome := func(out *wire.Outcome, err error) error {
+		if err == nil && (out.Query != 3 || out.Revenue != 1.5 || len(out.AdvOf) != 1) {
+			return fmt.Errorf("decoded outcome %+v", *out)
+		}
+		return err
+	}
+	stats := func(st wire.ServerStats, err error) error {
+		if err == nil && (st.Submitted != 9 || len(st.Buckets) != 1) {
+			return fmt.Errorf("decoded stats %+v", st)
+		}
+		return err
+	}
+	calls := []struct {
+		name        string
+		want, never wire.Kind
+		run         func() error
+	}{
+		{"AuctionInto", wire.KindOutcome, wire.KindAdded, func() error {
+			var out wire.Outcome
+			return outcome(&out, c.AuctionInto(3, &out))
+		}},
+		{"TextInto", wire.KindOutcome, wire.KindOK, func() error {
+			var out wire.Outcome
+			return outcome(&out, c.TextInto("red shoes", &out))
+		}},
+		{"Stats", wire.KindStatsResult, wire.KindOutcome, func() error { return stats(c.Stats()) }},
+		{"Drain", wire.KindStatsResult, wire.KindOK, func() error { return stats(c.Drain()) }},
+		{"ResetBudgets", wire.KindOK, wire.KindAdded, c.ResetBudgets},
+		{"AddAdvertiser", wire.KindAdded, wire.KindOK, func() error {
+			idx, err := c.AddAdvertiser(&adv)
+			if err == nil && idx != 41 {
+				return fmt.Errorf("decoded index %d", idx)
+			}
+			return err
+		}},
+		{"RemoveAdvertiser", wire.KindOK, wire.KindStatsResult, func() error { return c.RemoveAdvertiser(7) }},
+	}
+	rejected := func(r wire.RejectReason) func(error) bool {
+		return func(err error) bool {
+			return errors.Is(err, ErrRejected) && strings.Contains(err.Error(), r.String())
+		}
+	}
+	for _, call := range calls {
+		cases := []struct {
+			answer answer
+			ok     func(error) bool
+		}{
+			{answer{kind: call.want}, func(err error) bool { return err == nil }},
+			{answer{kind: wire.KindShed}, func(err error) bool { return errors.Is(err, ErrShed) }},
+			{answer{kind: wire.KindRejected, reason: wire.ReasonWindow}, rejected(wire.ReasonWindow)},
+			{answer{kind: wire.KindRejected, reason: wire.ReasonDraining}, rejected(wire.ReasonDraining)},
+			{answer{kind: wire.KindRejected, reason: wire.ReasonClosed}, rejected(wire.ReasonClosed)},
+			{answer{kind: wire.KindUnrouted}, func(err error) bool { return errors.Is(err, ErrUnrouted) }},
+			{answer{kind: wire.KindError}, func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "server error: boom")
+			}},
+			{answer{kind: call.never}, func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), fmt.Sprintf("unexpected response kind 0x%02x", uint8(call.never)))
+			}},
+		}
+		for _, tc := range cases {
+			next <- tc.answer
+			if err := call.run(); !tc.ok(err) {
+				t.Errorf("%s answered kind 0x%02x (reason %d): got %v", call.name, uint8(tc.answer.kind), tc.answer.reason, err)
+			}
+			if err := c.Err(); err != nil {
+				t.Fatalf("%s answered kind 0x%02x failed the connection: %v", call.name, uint8(tc.answer.kind), err)
+			}
+			next <- answer{kind: wire.KindOutcome}
+			var out wire.Outcome
+			if err := c.AuctionInto(3, &out); err != nil {
+				t.Fatalf("connection unusable after %s answered kind 0x%02x: %v", call.name, uint8(tc.answer.kind), err)
+			}
+		}
+	}
+}
+
+// TestTimeoutStalledPeer: a peer that answers every request but the
+// last fails that call with ErrTimeout within a few Timeouts, and
+// every earlier call succeeds — with one caller, and with two
+// concurrent callers, where one call's completion must not clear the
+// read deadline another call has just armed.
+func TestTimeoutStalledPeer(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	for _, callers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("callers=%d", callers), func(t *testing.T) {
+			const perCaller = 200
+			answered := 0
+			addr := rawPeer(t, func(req *wire.Request) []byte {
+				if answered == callers*perCaller-1 {
+					return nil // stall from the last request on
+				}
+				answered++
+				return wire.AppendOutcomeResp(nil, req.ID, &engine.Outcome{Query: req.Q})
+			})
+			c, err := Dial(addr, Options{Timeout: timeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			var ok, timedOut atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < callers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var out wire.Outcome
+					for i := 0; i < perCaller; i++ {
+						start := time.Now()
+						err := c.AuctionInto(i, &out)
+						switch {
+						case err == nil:
+							ok.Add(1)
+						case errors.Is(err, ErrTimeout):
+							if d := time.Since(start); d > 3*timeout {
+								t.Errorf("timed out after %v, want within %v", d, 3*timeout)
+							}
+							timedOut.Add(1)
+							return
+						default:
+							t.Errorf("call %d: %v", i, err)
+							return
+						}
+					}
+				}()
+			}
+			finished := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(finished)
+			}()
+			select {
+			case <-finished:
+			case <-time.After(10 * time.Second):
+				c.Close() // wakes the stuck call with ErrClosed
+				<-finished
+				t.Fatal("a call outlived its timeout: the read deadline was lost")
+			}
+			if want := int64(callers*perCaller - 1); ok.Load() != want || timedOut.Load() != 1 {
+				t.Fatalf("%d calls succeeded and %d timed out, want %d and 1", ok.Load(), timedOut.Load(), want)
+			}
+		})
 	}
 }

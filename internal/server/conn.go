@@ -19,25 +19,12 @@ const ctlSlots = 8
 
 // slot is one in-flight auction request: its echoed ID, its reused
 // encode buffer, and the preallocated completion callback handed to
-// stream.SubmitFunc. For KindBatch, one slot covers the whole batch
-// and the batch fields aggregate under bmu.
+// the stream layer.
 type slot struct {
-	c   *conn
-	idx int32
 	id  uint64
 	buf []byte
-	cb  func(*engine.Outcome) // single-auction completion
-	bcb func(*engine.Outcome) // batch per-query completion
-
-	bmu        chan struct{} // 1-buffered semaphore guarding the batch fields
-	bTotal     int
-	bDone      int
-	bSubmitted bool
-	batch      wire.BatchResult
+	cb  func(*engine.Outcome)
 }
-
-func (sl *slot) lock()   { sl.bmu <- struct{}{} }
-func (sl *slot) unlock() { <-sl.bmu }
 
 // conn is one admitted connection: a read loop decoding and
 // dispatching requests, a writer goroutine draining finished slots,
@@ -86,33 +73,13 @@ func newConn(s *Server, nc net.Conn) *conn {
 		writerDone: make(chan struct{}),
 	}
 	for i := range c.slots {
-		sl := &c.slots[i]
-		sl.c = c
-		sl.idx = int32(i)
-		sl.bmu = make(chan struct{}, 1)
+		sl, si := &c.slots[i], int32(i)
 		sl.cb = func(out *engine.Outcome) {
 			sl.buf = wire.AppendOutcomeResp(sl.buf[:0], sl.id, out)
 			c.srv.mServed.Inc(0)
-			c.out <- sl.idx
+			c.out <- si
 		}
-		sl.bcb = func(out *engine.Outcome) {
-			c.srv.mServed.Inc(0)
-			sl.lock()
-			sl.batch.Served++
-			sl.batch.Revenue += out.Revenue
-			for _, cl := range out.Clicked {
-				if cl {
-					sl.batch.Clicks++
-				}
-			}
-			sl.bDone++
-			fin := sl.bSubmitted && sl.bDone == sl.bTotal
-			sl.unlock()
-			if fin {
-				c.finishBatch(sl)
-			}
-		}
-		c.free <- int32(i)
+		c.free <- si
 	}
 	for j := 0; j < ctlSlots; j++ {
 		c.ctlFree <- int32(j)
@@ -149,7 +116,7 @@ func (c *conn) readLoop() {
 		if err := c.req.Decode(p); err != nil {
 			// The stream position is untrustworthy after a decode
 			// error: best-effort error response, then terminate.
-			c.ctlError(c.req.ID, err.Error())
+			c.reply(c.req.ID, wire.KindError, 0, err)
 			return
 		}
 		if !c.handle() {
@@ -162,47 +129,35 @@ func (c *conn) readLoop() {
 // connection (protocol violations only — application errors answer
 // KindError and keep the connection).
 func (c *conn) handle() bool {
-	req := &c.req
-	c.srv.mFrames.Inc(frameKindLane(req.Kind))
+	req, s := &c.req, c.srv
+	s.mFrames.Inc(frameKindLane(req.Kind))
 	switch req.Kind {
 	case wire.KindAuction:
-		c.auction(req.ID, req.Q)
-	case wire.KindText:
-		c.text(req.ID, req.Text)
-	case wire.KindBatch:
-		c.batch(req.ID, req.Qs)
-	case wire.KindStats:
-		c.ctlStats(req.ID)
-	case wire.KindReset:
-		if err := c.srv.st.ResetBudgets(); err != nil {
-			c.ctlError(req.ID, err.Error())
-		} else {
-			c.ctlOK(req.ID)
-		}
-	case wire.KindAdd:
-		idx, err := c.srv.st.AddAdvertiser(c.req.Adv)
-		if err != nil {
-			c.ctlError(req.ID, err.Error())
+		if req.Q < 0 || req.Q >= s.keywords {
+			c.reply(req.ID, wire.KindError, 0, errKeywordRange)
 			break
 		}
-		ci := c.ctlAcquire()
-		c.ctlBufs[ci] = wire.AppendAddedResp(c.ctlBufs[ci][:0], req.ID, idx)
-		c.out <- -(ci + 1)
+		c.auction()
+	case wire.KindText:
+		c.auction()
+	case wire.KindStats:
+		c.reply(req.ID, wire.KindStatsResult, 0, nil)
+	case wire.KindReset:
+		c.reply(req.ID, wire.KindOK, 0, s.st.ResetBudgets())
+	case wire.KindAdd:
+		idx, err := s.st.AddAdvertiser(req.Adv)
+		c.reply(req.ID, wire.KindAdded, idx, err)
 	case wire.KindRemove:
-		if err := c.srv.st.RemoveAdvertiser(req.Q); err != nil {
-			c.ctlError(req.ID, err.Error())
-		} else {
-			c.ctlOK(req.ID)
-		}
+		c.reply(req.ID, wire.KindOK, 0, s.st.RemoveAdvertiser(req.Q))
 	case wire.KindDrain:
 		// Blocks until every queued auction (this connection's
 		// included — their completions flow through the writer, not
 		// this goroutine) has been served, then answers with the
 		// final stats.
-		c.srv.beginDrain()
-		c.ctlStats(req.ID)
+		s.beginDrain()
+		c.reply(req.ID, wire.KindStatsResult, 0, nil)
 	default:
-		c.ctlError(req.ID, errUnknownKind.Error())
+		c.reply(req.ID, wire.KindError, 0, errUnknownKind)
 		return false
 	}
 	return true
@@ -226,189 +181,78 @@ func (c *conn) acquire() int32 {
 	return si
 }
 
-func (c *conn) ctlAcquire() int32 {
+// reply queues one control response for the writer through a free
+// control buffer — the only path a response takes that is not an
+// auction's own slot. kind is KindOK, KindAdded (v is the new index),
+// KindRejected (v is the reason) or KindStatsResult (a fresh
+// snapshot); a non-nil err answers KindError with its message
+// instead.
+func (c *conn) reply(id uint64, kind wire.Kind, v int, err error) {
 	ci := <-c.ctlFree
 	c.pending.Add(1)
-	return ci
-}
-
-func (c *conn) ctlOK(id uint64) {
-	ci := c.ctlAcquire()
-	c.ctlBufs[ci] = wire.AppendOKResp(c.ctlBufs[ci][:0], id)
-	c.out <- -(ci + 1)
-}
-
-func (c *conn) ctlStats(id uint64) {
-	ci := c.ctlAcquire()
-	var ws wire.ServerStats
-	c.srv.fillStats(&ws)
-	c.ctlBufs[ci] = wire.AppendStatsResp(c.ctlBufs[ci][:0], id, &ws)
-	c.out <- -(ci + 1)
-}
-
-func (c *conn) ctlError(id uint64, msg string) {
-	ci := c.ctlAcquire()
-	c.ctlBufs[ci] = wire.AppendErrorResp(c.ctlBufs[ci][:0], id, msg)
-	c.out <- -(ci + 1)
-}
-
-func (c *conn) ctlRejected(id uint64, reason wire.RejectReason) {
-	ci := c.ctlAcquire()
-	c.ctlBufs[ci] = wire.AppendRejectedResp(c.ctlBufs[ci][:0], id, reason)
-	c.out <- -(ci + 1)
-}
-
-// auction serves one KindAuction: count Submitted, take a window
-// slot, hand the query to the stream layer with the slot's callback.
-func (c *conn) auction(id uint64, q int) {
-	s := c.srv
-	if q < 0 || q >= s.keywords {
-		c.ctlError(id, "keyword out of range")
-		return
+	b := c.ctlBufs[ci][:0]
+	switch {
+	case err != nil:
+		b = wire.AppendErrorResp(b, id, err.Error())
+	case kind == wire.KindAdded:
+		b = wire.AppendAddedResp(b, id, v)
+	case kind == wire.KindRejected:
+		b = wire.AppendRejectedResp(b, id, wire.RejectReason(v))
+	case kind == wire.KindStatsResult:
+		var ws wire.ServerStats
+		c.srv.fillStats(&ws)
+		b = wire.AppendStatsResp(b, id, &ws)
+	default:
+		b = wire.AppendEmpty(b, kind, id)
 	}
-	s.mSubmitted.Inc(0)
-	if s.draining.Load() {
-		s.mRejected.Inc(0)
-		c.ctlRejected(id, wire.ReasonDraining)
-		return
+	c.ctlBufs[ci] = b
+	c.out <- -(ci + 1)
+}
+
+// auction serves the decoded KindAuction or KindText request: refuse
+// it at the connection layer (draining, or a full window under Shed),
+// else hand it to the stream layer with a slot's callback and answer
+// whatever the stream layer did not queue from that slot. Every
+// request counts Submitted and then exactly one of Served (the slot
+// callback), Shed or Rejected — except unrouted text, which counts
+// Unrouted and never Submitted, mirroring the stream layer.
+func (c *conn) auction() {
+	s, req := c.srv, &c.req
+	si, reason := int32(-1), wire.ReasonDraining
+	if !s.draining.Load() {
+		si, reason = c.acquire(), wire.ReasonWindow
 	}
-	si := c.acquire()
-	if si < 0 {
+	if si < 0 { // refused at the connection layer
+		s.mSubmitted.Inc(0)
 		s.mRejected.Inc(0)
-		c.ctlRejected(id, wire.ReasonWindow)
+		c.reply(req.ID, wire.KindRejected, int(reason), nil)
 		return
 	}
 	sl := &c.slots[si]
-	sl.id = id
-	switch s.st.SubmitFunc(q, sl.cb) {
-	case stream.SubmitQueued:
-		// sl.cb answers from the shard goroutine.
-	case stream.SubmitShed:
-		s.mShed.Inc(0)
-		sl.buf = wire.AppendShedResp(sl.buf[:0], id)
-		c.out <- si
-	case stream.SubmitClosed:
-		s.mRejected.Inc(0)
-		sl.buf = wire.AppendRejectedResp(sl.buf[:0], id, wire.ReasonClosed)
-		c.out <- si
+	sl.id = req.ID
+	var res stream.SubmitResult
+	if req.Kind == wire.KindText {
+		res = s.st.SubmitTextFunc(string(req.Text), sl.cb)
+	} else {
+		res = s.st.SubmitFunc(req.Q, sl.cb)
 	}
-}
-
-// text serves one KindText: route first (an unrouted query is counted
-// Unrouted, never Submitted — mirroring the stream layer), then the
-// auction path.
-func (c *conn) text(id uint64, query []byte) {
-	s := c.srv
-	if s.draining.Load() {
-		// During drain every text request is rejected at the
-		// connection layer, routed or not.
-		s.mSubmitted.Inc(0)
-		s.mRejected.Inc(0)
-		c.ctlRejected(id, wire.ReasonDraining)
-		return
-	}
-	si := c.acquire()
-	if si < 0 {
-		s.mSubmitted.Inc(0)
-		s.mRejected.Inc(0)
-		c.ctlRejected(id, wire.ReasonWindow)
-		return
-	}
-	sl := &c.slots[si]
-	sl.id = id
-	res := s.st.SubmitTextFunc(string(query), sl.cb)
 	if res != stream.SubmitUnrouted {
 		s.mSubmitted.Inc(0)
 	}
 	switch res {
 	case stream.SubmitQueued:
+		return // sl.cb answers from the shard goroutine.
 	case stream.SubmitShed:
 		s.mShed.Inc(0)
-		sl.buf = wire.AppendShedResp(sl.buf[:0], id)
-		c.out <- si
+		sl.buf = wire.AppendEmpty(sl.buf[:0], wire.KindShed, req.ID)
 	case stream.SubmitClosed:
 		s.mRejected.Inc(0)
-		sl.buf = wire.AppendRejectedResp(sl.buf[:0], id, wire.ReasonClosed)
-		c.out <- si
+		sl.buf = wire.AppendRejectedResp(sl.buf[:0], req.ID, wire.ReasonClosed)
 	case stream.SubmitUnrouted:
 		s.mUnrouted.Inc(0)
-		sl.buf = wire.AppendUnroutedResp(sl.buf[:0], id)
-		c.out <- si
+		sl.buf = wire.AppendEmpty(sl.buf[:0], wire.KindUnrouted, req.ID)
 	}
-}
-
-// batch serves one KindBatch under a single window slot: each query
-// is counted and dispatched individually (so the accounting identity
-// is per query, exactly as for single auctions), and the response
-// aggregates once the last query resolves. Completion is detected
-// with the submitted-all flag: the last resolver — a shard callback
-// or this read loop — observes bDone == bTotal with bSubmitted set
-// and encodes the response; exactly one finisher wins.
-func (c *conn) batch(id uint64, qs []int) {
-	s := c.srv
-	for _, q := range qs {
-		if q < 0 || q >= s.keywords {
-			c.ctlError(id, "keyword out of range")
-			return
-		}
-	}
-	if s.draining.Load() {
-		s.mSubmitted.Add(0, int64(len(qs)))
-		s.mRejected.Add(0, int64(len(qs)))
-		ci := c.ctlAcquire()
-		br := wire.BatchResult{Requested: len(qs), Rejected: len(qs)}
-		c.ctlBufs[ci] = wire.AppendBatchResp(c.ctlBufs[ci][:0], id, &br)
-		c.out <- -(ci + 1)
-		return
-	}
-	si := c.acquire()
-	if si < 0 {
-		s.mSubmitted.Add(0, int64(len(qs)))
-		s.mRejected.Add(0, int64(len(qs)))
-		ci := c.ctlAcquire()
-		br := wire.BatchResult{Requested: len(qs), Rejected: len(qs)}
-		c.ctlBufs[ci] = wire.AppendBatchResp(c.ctlBufs[ci][:0], id, &br)
-		c.out <- -(ci + 1)
-		return
-	}
-	sl := &c.slots[si]
-	sl.id = id
-	sl.lock()
-	sl.bTotal = len(qs)
-	sl.bDone = 0
-	sl.bSubmitted = false
-	sl.batch = wire.BatchResult{Requested: len(qs)}
-	sl.unlock()
-	s.mSubmitted.Add(0, int64(len(qs)))
-	for _, q := range qs {
-		switch s.st.SubmitFunc(q, sl.bcb) {
-		case stream.SubmitQueued:
-		case stream.SubmitShed:
-			s.mShed.Inc(0)
-			sl.lock()
-			sl.batch.Shed++
-			sl.bDone++
-			sl.unlock()
-		case stream.SubmitClosed:
-			s.mRejected.Inc(0)
-			sl.lock()
-			sl.batch.Rejected++
-			sl.bDone++
-			sl.unlock()
-		}
-	}
-	sl.lock()
-	sl.bSubmitted = true
-	fin := sl.bDone == sl.bTotal
-	sl.unlock()
-	if fin {
-		c.finishBatch(sl)
-	}
-}
-
-func (c *conn) finishBatch(sl *slot) {
-	sl.buf = wire.AppendBatchResp(sl.buf[:0], sl.id, &sl.batch)
-	sl.c.out <- sl.idx
+	c.out <- si
 }
 
 // writeLoop drains finished responses, flushing whenever the

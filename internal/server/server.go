@@ -18,10 +18,12 @@
 // # Accounting identity
 //
 // The connection layer counts every auction-carrying request exactly
-// once: Submitted on arrival, then exactly one of Served (outcome
-// delivered), Shed (dropped by the stream policy), or Rejected
-// (refused at the connection layer — window full, draining, or the
-// stream already closed). After a drain completes,
+// once: Submitted when it is refused or handed to the stream layer
+// (text that matches no keyword counts Unrouted instead), then
+// exactly one of Served (outcome delivered), Shed (dropped by the
+// stream policy), or Rejected (refused at the connection layer —
+// window full, draining, or the stream already closed). After a drain
+// completes,
 //
 //	Submitted == Served + Shed + Rejected
 //
@@ -40,7 +42,7 @@
 // list. Slot and control completions travel as int32 indexes on a
 // channel whose capacity equals the maximum number of outstanding
 // completions, so a shard goroutine can never block on a slow
-// connection. BenchmarkServerSteadyState gates this end to end.
+// connection. TestServerSteadyStateAllocs gates this end to end.
 package server
 
 import (
@@ -221,7 +223,7 @@ const (
 // frameKindNames label the mFrames lanes; frameKindLane maps a request
 // kind to its lane (the last lane collects unknown kinds).
 var frameKindNames = []string{
-	"auction", "text", "batch", "stats",
+	"auction", "text", "stats",
 	"reset", "add", "remove", "drain", "other",
 }
 
@@ -231,20 +233,18 @@ func frameKindLane(k wire.Kind) int {
 		return 0
 	case wire.KindText:
 		return 1
-	case wire.KindBatch:
-		return 2
 	case wire.KindStats:
-		return 3
+		return 2
 	case wire.KindReset:
-		return 4
+		return 3
 	case wire.KindAdd:
-		return 5
+		return 4
 	case wire.KindRemove:
-		return 6
+		return 5
 	case wire.KindDrain:
-		return 7
+		return 6
 	default:
-		return 8
+		return 7
 	}
 }
 
@@ -413,4 +413,7 @@ func (s *Server) fillStats(ws *wire.ServerStats) {
 	ws.SetLatency(&hs)
 }
 
-var errUnknownKind = errors.New("server: unknown request kind")
+var (
+	errUnknownKind  = errors.New("server: unknown request kind")
+	errKeywordRange = errors.New("keyword out of range")
+)

@@ -90,8 +90,8 @@ func TestServerBasic(t *testing.T) {
 }
 
 // TestServerTextBatchControl: text routing (routed and unrouted),
-// batch aggregation, and churn + reset control requests over the
-// wire.
+// many auctions from concurrent callers on one connection, and churn
+// + reset control requests over the wire.
 func TestServerTextBatchControl(t *testing.T) {
 	inst := workload.Generate(rand.New(rand.NewSource(2)), 40, 3, 4)
 	s := listen(t, inst, server.Config{Stream: stream.Config{
@@ -113,16 +113,33 @@ func TestServerTextBatchControl(t *testing.T) {
 		t.Fatalf("unrouted text: %v, want ErrUnrouted", err)
 	}
 
+	// Many auctions over one connection are concurrent pipelined
+	// callers, one per query.
 	qs := []int{0, 1, 2, 3, 0, 1}
-	br, err := c.Batch(qs)
-	if err != nil {
-		t.Fatal(err)
+	revenue := make([]float64, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var out wire.Outcome
+			if err := c.AuctionInto(q, &out); err != nil {
+				t.Errorf("pipelined auction %d: %v", i, err)
+				return
+			}
+			revenue[i] = out.Revenue
+		}()
 	}
-	if br.Requested != len(qs) || br.Served != len(qs) || br.Shed != 0 || br.Rejected != 0 {
-		t.Fatalf("batch result: %+v", br)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	if br.Revenue <= 0 {
-		t.Fatalf("batch revenue %v, want > 0", br.Revenue)
+	var total float64
+	for _, r := range revenue {
+		total += r
+	}
+	if total <= 0 {
+		t.Fatalf("pipelined revenue %v, want > 0", total)
 	}
 
 	add := workload.Advertiser{
@@ -150,13 +167,14 @@ func TestServerTextBatchControl(t *testing.T) {
 	}
 
 	s.Close()
-	sub, _, _, _ := checkIdentity(t, s)
+	sub, served, _, _ := checkIdentity(t, s)
 	_, _, _, _, unrouted := s.Counters()
 	if unrouted != 1 {
 		t.Fatalf("unrouted=%d, want 1", unrouted)
 	}
-	if want := int64(1 + len(qs) + 1); sub != want { // text + batch + post-error auction
-		t.Fatalf("submitted=%d, want %d", sub, want)
+	// text + pipelined auctions + post-error auction, all served
+	if want := int64(1 + len(qs) + 1); sub != want || served != want {
+		t.Fatalf("submitted=%d served=%d, want %d", sub, served, want)
 	}
 }
 

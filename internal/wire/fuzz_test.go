@@ -30,11 +30,10 @@ func fuzzSeeds() [][]byte {
 		Buckets: []HistBucket{{Index: 40, Count: 3}, {Index: 200, Count: 1}}}
 	stream := AppendAuctionReq(nil, 1, 7)
 	stream = AppendTextReq(stream, 2, "shoes")
-	stream = AppendBatchReq(stream, 3, []int{1, 2, 3})
 	stream = AppendOutcomeResp(stream, 4, out)
 	stream = AppendStatsResp(stream, 5, st)
 
-	torn := AppendDrainReq(nil, 6)
+	torn := AppendEmpty(nil, KindDrain, 6)
 	badCRC := AppendAddReq(nil, 7, &adv)
 	badCRC[len(badCRC)-1] ^= 0x01
 	oversized := AppendRemoveReq(nil, 8, 1)
@@ -45,7 +44,7 @@ func fuzzSeeds() [][]byte {
 		AppendAddReq(nil, 9, &adv),
 		AppendRejectedResp(nil, 10, ReasonWindow),
 		AppendErrorResp(nil, 11, "bad request"),
-		AppendBatchResp(nil, 12, &BatchResult{Requested: 3, Served: 3}),
+		AppendAddedResp(nil, 12, 3),
 		stream,
 		torn[:len(torn)-3],
 		badCRC,

@@ -19,9 +19,11 @@
 //
 // # Handshake
 //
-// The dialer opens with the 8-byte Magic ("SSAWIR02" — version in the
+// The dialer opens with the 8-byte Magic ("SSAWIR03" — version in the
 // name, bumped for incompatible changes; 02 merged the two stats
-// frames of 01 into one that carries the latency histogram). The server answers with the
+// frames of 01 into one that carries the latency histogram, 03
+// dropped the batch request and its aggregate response, whose kind
+// bytes 0x03 and 0x84 stay unassigned). The server answers with the
 // same magic followed by one status byte: HandshakeOK admits the
 // connection, HandshakeFull (per-server connection cap) and
 // HandshakeDraining (graceful drain in progress) reject it. Only
@@ -38,8 +40,9 @@
 // decoded outcome is bit-exact against the serving market's — the
 // property the loopback equivalence tests assert.
 //
-// Encoders are append-style (Append*Req/Append*Resp) writing complete
-// frames into caller-owned buffers, and decoders fill reusable
+// Encoders are append-style (Append*Req/Append*Resp, and AppendEmpty
+// for every kind without a body) writing complete frames into
+// caller-owned buffers, and decoders fill reusable
 // Request/Response structs whose slices are grown once and reused —
 // together they keep the steady-state serve path on both ends of the
 // socket at zero heap allocations per auction.
@@ -57,9 +60,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Magic opens every connection in both directions; the trailing 02 is
+// Magic opens every connection in both directions; the trailing 03 is
 // the protocol version.
-const Magic = "SSAWIR02"
+const Magic = "SSAWIR03"
 
 // Handshake status bytes, sent by the server after the magic echo.
 const (
@@ -89,10 +92,8 @@ const (
 	// KindText routes free text through the keyword index and runs
 	// the matched keyword's auction. Body: u16 len | bytes.
 	KindText Kind = 0x02
-	// KindBatch submits many keywords under one request ID and one
-	// in-flight window slot; the response aggregates.
-	// Body: u32 count | count × u32 keyword.
-	KindBatch Kind = 0x03
+	// 0x03 is unassigned (protocol 02's batch request).
+
 	// KindStats requests a live server statistics snapshot. No body.
 	KindStats Kind = 0x04
 	// KindReset performs a live budget reset ("next day" fence). No
@@ -119,10 +120,8 @@ const (
 	// KindRejected answers a request refused at the connection layer.
 	// Body: u8 reason.
 	KindRejected Kind = 0x83
-	// KindBatchResult aggregates a KindBatch.
-	// Body: 5 × u32 (requested, served, shed, rejected, clicks) |
-	// u64 revenueBits.
-	KindBatchResult Kind = 0x84
+	// 0x84 is unassigned (protocol 02's batch result).
+
 	// KindStatsResult carries a ServerStats snapshot: the counter
 	// words, then the serving latency histogram.
 	// Body: statsFields × u64 | u64 count | u64 sumNs | u64 maxNs |
@@ -273,39 +272,13 @@ func AppendTextReq(dst []byte, id uint64, query string) []byte {
 	return endFrame(dst, start)
 }
 
-// AppendBatchReq appends a complete KindBatch frame.
-func AppendBatchReq(dst []byte, id uint64, qs []int) []byte {
+// AppendEmpty appends a complete frame of a kind that carries no body:
+// the requests KindStats, KindReset and KindDrain, and the responses
+// KindShed, KindOK and KindUnrouted.
+func AppendEmpty(dst []byte, kind Kind, id uint64) []byte {
 	start := len(dst)
 	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindBatch, id)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(qs)))
-	for _, q := range qs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(q))
-	}
-	return endFrame(dst, start)
-}
-
-// AppendStatsReq appends a complete KindStats frame.
-func AppendStatsReq(dst []byte, id uint64) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindStats, id)
-	return endFrame(dst, start)
-}
-
-// AppendResetReq appends a complete KindReset frame.
-func AppendResetReq(dst []byte, id uint64) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindReset, id)
-	return endFrame(dst, start)
-}
-
-// AppendDrainReq appends a complete KindDrain frame.
-func AppendDrainReq(dst []byte, id uint64) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindDrain, id)
+	dst = appendHeader(dst, kind, id)
 	return endFrame(dst, start)
 }
 
@@ -379,50 +352,12 @@ func AppendOutcomeResp(dst []byte, id uint64, out *engine.Outcome) []byte {
 	return endFrame(dst, start)
 }
 
-// AppendShedResp appends a complete KindShed frame.
-func AppendShedResp(dst []byte, id uint64) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindShed, id)
-	return endFrame(dst, start)
-}
-
 // AppendRejectedResp appends a complete KindRejected frame.
 func AppendRejectedResp(dst []byte, id uint64, reason RejectReason) []byte {
 	start := len(dst)
 	dst = beginFrame(dst)
 	dst = appendHeader(dst, KindRejected, id)
 	dst = append(dst, byte(reason))
-	return endFrame(dst, start)
-}
-
-// AppendUnroutedResp appends a complete KindUnrouted frame.
-func AppendUnroutedResp(dst []byte, id uint64) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindUnrouted, id)
-	return endFrame(dst, start)
-}
-
-// AppendBatchResp appends a complete KindBatchResult frame.
-func AppendBatchResp(dst []byte, id uint64, br *BatchResult) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindBatchResult, id)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(br.Requested))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(br.Served))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(br.Shed))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(br.Rejected))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(br.Clicks))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(br.Revenue))
-	return endFrame(dst, start)
-}
-
-// AppendOKResp appends a complete KindOK frame.
-func AppendOKResp(dst []byte, id uint64) []byte {
-	start := len(dst)
-	dst = beginFrame(dst)
-	dst = appendHeader(dst, KindOK, id)
 	return endFrame(dst, start)
 }
 
@@ -505,19 +440,6 @@ func (o *Outcome) CopyFrom(src *Outcome) {
 	o.AdvOf = append(o.AdvOf[:0], src.AdvOf...)
 	o.PricePerClick = append(o.PricePerClick[:0], src.PricePerClick...)
 	o.Clicked = append(o.Clicked[:0], src.Clicked...)
-}
-
-// BatchResult aggregates a KindBatch: per-query dispositions
-// (Requested == Served + Shed + Rejected), total clicks, and the
-// revenue sum. The revenue is summed in completion order across
-// shards, so it is reproducible only up to float addition order.
-type BatchResult struct {
-	Requested int
-	Served    int
-	Shed      int
-	Rejected  int
-	Clicks    int
-	Revenue   float64
 }
 
 // ServerStats is the snapshot a KindStatsResult carries — answering
@@ -666,14 +588,13 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Request is a decoded request payload. Decode reuses Text, Qs, and
-// the Adv slices, so a Request is valid until the next Decode into it.
+// Request is a decoded request payload. Decode reuses Text and the
+// Adv slices, so a Request is valid until the next Decode into it.
 type Request struct {
 	Kind Kind
 	ID   uint64
 	Q    int                 // KindAuction, KindRemove
 	Text []byte              // KindText
-	Qs   []int               // KindBatch
 	Adv  workload.Advertiser // KindAdd
 }
 
@@ -693,15 +614,6 @@ func (req *Request) Decode(p []byte) error {
 	case KindText:
 		n := int(r.u16())
 		req.Text = append(req.Text[:0], r.bytes(n)...)
-	case KindBatch:
-		n := int(r.u32())
-		if n > r.remaining()/4 {
-			return fmt.Errorf("wire: batch count %d overruns payload", n)
-		}
-		req.Qs = req.Qs[:0]
-		for i := 0; i < n; i++ {
-			req.Qs = append(req.Qs, int(int32(r.u32())))
-		}
 	case KindStats, KindReset, KindDrain:
 		// No body.
 	case KindAdd:
@@ -744,7 +656,6 @@ type Response struct {
 	ID     uint64
 	Reason RejectReason // KindRejected
 	Out    Outcome      // KindOutcome
-	Batch  BatchResult  // KindBatchResult
 	Stats  ServerStats  // KindStatsResult (Buckets reused)
 	Index  int          // KindAdded
 	Msg    string       // KindError
@@ -780,14 +691,6 @@ func (resp *Response) Decode(p []byte) error {
 		// No body.
 	case KindRejected:
 		resp.Reason = RejectReason(r.u8())
-	case KindBatchResult:
-		b := &resp.Batch
-		b.Requested = int(int32(r.u32()))
-		b.Served = int(int32(r.u32()))
-		b.Shed = int(int32(r.u32()))
-		b.Rejected = int(int32(r.u32()))
-		b.Clicks = int(int32(r.u32()))
-		b.Revenue = math.Float64frombits(r.u64())
 	case KindStatsResult:
 		st := &resp.Stats
 		st.Submitted = int64(r.u64())

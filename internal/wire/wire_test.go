@@ -37,10 +37,9 @@ func TestRequestRoundTrip(t *testing.T) {
 	stream := frames(
 		AppendAuctionReq(nil, 1, 42),
 		AppendTextReq(nil, 2, "cheap flights"),
-		AppendBatchReq(nil, 3, []int{5, 6, 7, 8}),
-		AppendStatsReq(nil, 4),
-		AppendResetReq(nil, 5),
-		AppendDrainReq(nil, 6),
+		AppendEmpty(nil, KindStats, 4),
+		AppendEmpty(nil, KindReset, 5),
+		AppendEmpty(nil, KindDrain, 6),
 		AppendAddReq(nil, 7, &adv),
 		AppendRemoveReq(nil, 8, 9),
 	)
@@ -63,9 +62,6 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	if r := next(); r.Kind != KindText || r.ID != 2 || string(r.Text) != "cheap flights" {
 		t.Fatalf("text: %+v", r)
-	}
-	if r := next(); r.Kind != KindBatch || r.ID != 3 || len(r.Qs) != 4 || r.Qs[0] != 5 || r.Qs[3] != 8 {
-		t.Fatalf("batch: %+v", r)
 	}
 	if r := next(); r.Kind != KindStats || r.ID != 4 {
 		t.Fatalf("stats: %+v", r)
@@ -112,7 +108,6 @@ func TestResponseRoundTrip(t *testing.T) {
 		Clicked:       []bool{true, false, true},
 		Revenue:       4.25,
 	}
-	br := &BatchResult{Requested: 10, Served: 7, Shed: 2, Rejected: 1, Clicks: 5, Revenue: 99.5}
 	st := &ServerStats{
 		Submitted: 100, Served: 90, Shed: 6, Rejected: 4, Unrouted: 3, Conns: 2,
 		StreamSubmitted: 96, StreamServed: 90, StreamShed: 6, StreamPending: 0,
@@ -124,14 +119,13 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	stream := frames(
 		AppendOutcomeResp(nil, 1, out),
-		AppendShedResp(nil, 2),
+		AppendEmpty(nil, KindShed, 2),
 		AppendRejectedResp(nil, 3, ReasonDraining),
-		AppendBatchResp(nil, 4, br),
 		AppendStatsResp(nil, 5, st),
-		AppendOKResp(nil, 6),
+		AppendEmpty(nil, KindOK, 6),
 		AppendAddedResp(nil, 7, 41),
 		AppendErrorResp(nil, 8, "boom"),
-		AppendUnroutedResp(nil, 9),
+		AppendEmpty(nil, KindUnrouted, 9),
 	)
 	fr := NewFrameReader(bytes.NewReader(stream), 0)
 	var resp Response
@@ -166,9 +160,6 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	if r := next(); r.Kind != KindRejected || r.ID != 3 || r.Reason != ReasonDraining {
 		t.Fatalf("rejected: %+v", r)
-	}
-	if r := next(); r.Kind != KindBatchResult || r.ID != 4 || r.Batch != *br {
-		t.Fatalf("batch: %+v", r)
 	}
 	if r := next(); r.Kind != KindStatsResult || r.ID != 5 || !reflect.DeepEqual(r.Stats, *st) {
 		t.Fatalf("stats: %+v", r)
@@ -265,10 +256,13 @@ func TestPayloadCorruption(t *testing.T) {
 			t.Fatal("truncated auction body decoded without error")
 		}
 	})
-	t.Run("batch count overrun", func(t *testing.T) {
-		p := []byte{byte(KindBatch)}
+	t.Run("keyword count overrun", func(t *testing.T) {
+		p := []byte{byte(KindAdd)}
 		p = binary.LittleEndian.AppendUint64(p, 1)
-		p = binary.LittleEndian.AppendUint32(p, 1<<31-1) // count ≫ payload
+		p = binary.LittleEndian.AppendUint32(p, 0)       // target
+		p = binary.LittleEndian.AppendUint64(p, 0)       // budget bits
+		p = append(p, 0)                                 // heavy
+		p = binary.LittleEndian.AppendUint32(p, 1<<31-1) // keyword count ≫ payload
 		var req Request
 		if err := req.Decode(read(t, reframe(p))); err == nil ||
 			!strings.Contains(err.Error(), "overruns") {
@@ -305,7 +299,7 @@ func TestPayloadCorruption(t *testing.T) {
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		full := read(t, AppendStatsReq(nil, 2))
+		full := read(t, AppendEmpty(nil, KindStats, 2))
 		var req Request
 		if err := req.Decode(append(append([]byte(nil), full...), 0xAA)); err == nil ||
 			!strings.Contains(err.Error(), "trailing") {
@@ -313,7 +307,7 @@ func TestPayloadCorruption(t *testing.T) {
 		}
 	})
 	t.Run("response as request", func(t *testing.T) {
-		full := read(t, AppendShedResp(nil, 3))
+		full := read(t, AppendEmpty(nil, KindShed, 3))
 		var req Request
 		if err := req.Decode(full); err == nil ||
 			!strings.Contains(err.Error(), "unknown request kind") {

@@ -607,8 +607,6 @@ type (
 	// NetOutcome is an auction outcome as decoded from the wire,
 	// bit-exact with the serving engine's outcome.
 	NetOutcome = wire.Outcome
-	// NetBatchResult aggregates one batch-submit call.
-	NetBatchResult = wire.BatchResult
 	// NetServerStats is the server-side stats snapshot a client can
 	// request over the wire (also returned by a graceful drain): the
 	// counter block plus the server's lifetime auction-latency
