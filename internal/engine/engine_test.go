@@ -337,6 +337,43 @@ func marketSizeAllocs(t *testing.T, method Method) {
 // accounting all run in reused buffers.
 func TestMarketSteadyStateAllocs(t *testing.T) { marketSizeAllocs(t, MethodRH) }
 
+// TestRebuiltMarketSteadyStateAllocs: the RH markets a churn fence
+// (RebuildShard) creates share one slot-major click matrix per shard,
+// and a warm auction on one of them allocates nothing.
+func TestRebuiltMarketSteadyStateAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	inst := workload.Generate(rand.New(rand.NewSource(70)), 1000, 15, 10)
+	queries := inst.Queries(rand.New(rand.NewSource(71)), 4096)
+	e := New(inst, Config{Shards: 2, Method: MethodRH, ClickSeed: 7})
+	defer e.Close()
+	done := make(chan struct{})
+	e.Control(0, func(s int) { e.RebuildShard(s, inst, nil); close(done) }, true)
+	<-done
+	var own []int
+	for q := 0; q < inst.Keywords; q++ {
+		if e.ShardOf(q) == 0 {
+			own = append(own, q)
+		}
+	}
+	first := e.KeywordMarket(own[0])
+	for _, q := range own[1:] {
+		if &e.KeywordMarket(q).clickCols[0] != &first.clickCols[0] {
+			t.Fatalf("keyword %d's rebuilt market holds its own click matrix", q)
+		}
+	}
+	kwQueries := make([]int, 0, len(queries))
+	for _, q := range queries {
+		if q == own[0] {
+			kwQueries = append(kwQueries, q)
+		}
+	}
+	if allocs := warmAllocs(first, kwQueries, len(kwQueries)/2, 200); allocs != 0 {
+		t.Fatalf("steady-state rebuilt RH auction allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
 // TestTALUSteadyStateAllocs extends the zero-allocation guarantee to
 // the paper's own fast path: after warmup, a MethodRHTALU auction —
 // trigger firings, logical updates, per-slot threshold algorithm over

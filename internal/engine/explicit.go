@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/topk"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // explicitEngine evaluates every bidding program on every auction:
 // the straightforward implementation of the Section II flow, used by
@@ -37,15 +34,4 @@ func (e *explicitEngine) step(q int, t float64, acct *Accounting) {
 			e.bid[i][q]--
 		}
 	}
-}
-
-// scanLists materializes per-slot top-(k+1) candidate lists by a full
-// scan — the pricing helper for the full-graph methods.
-func scanLists(n, k int, score func(i, j int) float64) [][]topk.Item {
-	lists := make([][]topk.Item, k)
-	for j := 0; j < k; j++ {
-		j := j
-		lists[j] = topk.Select(n, k+1, func(i int) float64 { return score(i, j) })
-	}
-	return lists
 }

@@ -64,6 +64,10 @@ type Market struct {
 	weightFn func(i, j int) float64
 	out      Outcome
 
+	// clickCols is the slot-major click-probability matrix MethodRH's
+	// selection walks (nil under every other method).
+	clickCols []float64
+
 	// GSP pricing scratch: assignedMark[i] == assignedStamp iff
 	// advertiser i holds a slot in the current auction (the stamp
 	// avoids clearing an O(n) array per auction), and clickedWinners
@@ -150,6 +154,30 @@ type MarketOpts struct {
 	Tracer       *obs.Tracer
 	TraceKeyword int
 	TraceShard   int
+
+	// clickCols is the instance's slot-major click-probability matrix
+	// (see clickColumns), built once by the engine and shared by the
+	// markets it creates over one instance. Nil makes a MethodRH market
+	// build its own.
+	clickCols []float64
+}
+
+// clickColumns lays inst.ClickProb out slot-major, cp[j·n+i] =
+// ClickProb[i][j], so that MethodRH's per-slot selection walks one
+// contiguous column per slot (matching.Workspace.SelectDense). It
+// returns nil for every other method, which never reads it.
+func clickColumns(inst *workload.Instance, method Method) []float64 {
+	if method != MethodRH {
+		return nil
+	}
+	n := inst.N
+	cp := make([]float64, inst.Slots*n)
+	for i, row := range inst.ClickProb {
+		for j, p := range row[:inst.Slots] {
+			cp[j*n+i] = p
+		}
+	}
+	return cp
 }
 
 // NewMarketOpts builds a fresh market. Two markets with equal
@@ -177,6 +205,10 @@ func NewMarketOpts(inst *workload.Instance, o MarketOpts) *Market {
 	}
 	m.ws = matching.NewWorkspace()
 	m.bidf = make([]float64, inst.N)
+	m.clickCols = o.clickCols
+	if m.clickCols == nil {
+		m.clickCols = clickColumns(inst, method)
+	}
 	m.weightFn = func(i, j int) float64 {
 		return m.Inst.ClickProb[i][j] * m.bidf[i]
 	}
@@ -399,10 +431,10 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 				lists = m.ws.SelectCandidates(m.Inst.N, k, k+1, m.heavy.scoreFn)
 			}
 		case MethodRH:
-			// The scalable serving path: workspace-backed top-(k+1)
-			// selection and reduced assignment, zero allocations in
-			// steady state.
-			lists = m.ws.SelectCandidates(m.Inst.N, k, k+1, score)
+			// The scalable serving path: dense top-(k+1) selection over
+			// the slot-major click matrix and reduced assignment, zero
+			// allocations in steady state.
+			lists = m.ws.SelectDense(m.Inst.N, k, k+1, m.clickCols, m.bidf)
 			m.ws.AssignCandidatesInto(score, lists, out.AdvOf)
 			advOf = out.AdvOf
 		case MethodRHParallel:
@@ -413,7 +445,7 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 		case MethodH:
 			advOf = matching.MaxWeightFunc(m.Inst.N, k, score).AdvOf
 			if m.pricing == PricingGSP {
-				lists = scanLists(m.Inst.N, k, score)
+				lists = m.ws.SelectCandidates(m.Inst.N, k, k+1, score)
 			}
 			copy(out.AdvOf, advOf)
 			advOf = out.AdvOf
@@ -434,7 +466,7 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 			m.LPStats += res.Iterations
 			advOf = res.AdvOf
 			if m.pricing == PricingGSP {
-				lists = scanLists(m.Inst.N, k, score)
+				lists = m.ws.SelectCandidates(m.Inst.N, k, k+1, score)
 			}
 			copy(out.AdvOf, advOf)
 			advOf = out.AdvOf

@@ -26,11 +26,12 @@ type Workspace struct {
 	stamp int
 	cands []int
 
-	// MaxWeightReduced conveniences: a bounded heap and per-slot lists
-	// reused across calls.
-	heap  *topk.Heap
-	heapK int
+	// Selection scratch (select.go): the per-slot lists, the gathered
+	// score column of the closure entry and its all-ones bid column,
+	// and MaxWeightReduced's slot map.
 	lists [][]topk.Item
+	col   []float64
+	ones  []float64
 	advOf []int
 }
 
@@ -170,7 +171,9 @@ func (ws *Workspace) AssignCandidatesInto(weight func(i, j int) float64, lists [
 	for _, list := range lists {
 		for _, it := range list {
 			if it.ID >= len(ws.mark) {
-				grown := growInts(nil, it.ID+1)
+				// Geometric growth: a fresh workspace whose ids climb
+				// to n reallocates O(log n) times, not once per new id.
+				grown := make([]int, max(it.ID+1, 2*len(ws.mark)))
 				copy(grown, ws.mark)
 				ws.mark = grown
 			}
@@ -199,28 +202,6 @@ func (ws *Workspace) AssignCandidatesInto(weight func(i, j int) float64, lists [
 		}
 	}
 	return value
-}
-
-// SelectCandidates fills per-slot top-depth candidate lists for n
-// advertisers into workspace-owned storage, reusing the bounded heap
-// and the per-slot backing arrays. The returned slice (and the lists
-// inside it) are valid until the next SelectCandidates or
-// MaxWeightReduced call on ws.
-func (ws *Workspace) SelectCandidates(n, k, depth int, weight func(i, j int) float64) [][]topk.Item {
-	if ws.heap == nil || ws.heapK != depth {
-		ws.heap = topk.NewHeap(depth)
-		ws.heapK = depth
-	}
-	if cap(ws.lists) < k {
-		ws.lists = make([][]topk.Item, k)
-	}
-	ws.lists = ws.lists[:k]
-	for j := 0; j < k; j++ {
-		jj := j
-		ws.lists[j] = topk.SelectInto(ws.heap, ws.lists[j][:0], n,
-			func(i int) float64 { return weight(i, jj) })
-	}
-	return ws.lists
 }
 
 // MaxWeightInto is MaxWeightFunc (the full-graph method-H solve,

@@ -67,30 +67,40 @@ func TestWorkspaceAssignCandidatesInto(t *testing.T) {
 }
 
 // TestWorkspaceSteadyStateAllocs: after one warmup call, repeated
-// solves of same-shaped problems must not allocate. This is the
-// micro-level guarantee behind the engine's allocation-free RH path.
+// solves of same-shaped problems must not allocate, through either
+// selection entry point. This is the micro-level guarantee behind the
+// engine's allocation-free RH path.
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
 	const n, k = 500, 15
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, k)
-		for j := range w[i] {
-			w[i][j] = float64((i*131 + j*37) % 997)
+	cp := make([]float64, k*n) // slot-major
+	bid := make([]float64, n)
+	for i := range bid {
+		bid[i] = float64(i%7 + 1)
+		for j := 0; j < k; j++ {
+			cp[j*n+i] = float64((i*131+j*37)%997) / 997
 		}
 	}
-	weight := func(i, j int) float64 { return w[i][j] }
-	ws := NewWorkspace()
-	advOf := make([]int, k)
-	lists := ws.SelectCandidates(n, k, k+1, weight)
-	ws.AssignCandidatesInto(weight, lists, advOf)
-	allocs := testing.AllocsPerRun(50, func() {
-		lists := ws.SelectCandidates(n, k, k+1, weight)
-		ws.AssignCandidatesInto(weight, lists, advOf)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state reduced solve allocates %.1f objects/op, want 0", allocs)
+	weight := func(i, j int) float64 { return cp[j*n+i] * bid[i] }
+	for _, tc := range []struct {
+		name    string
+		select_ func(ws *Workspace) [][]topk.Item
+	}{
+		{"closure", func(ws *Workspace) [][]topk.Item { return ws.SelectCandidates(n, k, k+1, weight) }},
+		{"dense", func(ws *Workspace) [][]topk.Item { return ws.SelectDense(n, k, k+1, cp, bid) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := NewWorkspace()
+			advOf := make([]int, k)
+			ws.AssignCandidatesInto(weight, tc.select_(ws), advOf)
+			allocs := testing.AllocsPerRun(50, func() {
+				ws.AssignCandidatesInto(weight, tc.select_(ws), advOf)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state reduced solve allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
