@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -212,6 +213,11 @@ func TestMain(m *testing.M) {
 	}
 	if addr := os.Getenv(netConnectEnv); addr != "" {
 		netConnectChild(addr)
+		return
+	}
+	if args := os.Getenv(modesArgsEnv); args != "" {
+		os.Args = append([]string{"auctionsim"}, strings.Split(args, "\n")...)
+		main()
 		return
 	}
 	os.Exit(m.Run())

@@ -49,7 +49,7 @@
 // -broadmatch with -serve/-connect (the wire protocol carries keyword
 // ids, not text) are rejected.
 //
-// With -budget N (in every mode) each advertiser gets a daily budget
+// With -budget N (in every mode but -connect) each advertiser gets a daily budget
 // scaled so an on-target spender exhausts it after roughly N
 // auctions, and the cross-keyword budget subsystem enforces the caps:
 // -budget-policy picks hard (excluded at the cap, like the bidding
@@ -87,6 +87,12 @@
 // soak runs one -serve and several -connect processes over loopback
 // and checks the two sides' counters agree exactly.
 //
+// The five modes — world (the default), -engine, -stream, -serve and
+// -connect — are the rows of one mode table, which also names every
+// flag each mode reads. The command exits 2 with the usage when more
+// than one mode is selected, when a flag is set that the chosen mode
+// does not read, or when a value is out of range.
+//
 // Usage:
 //
 //	auctionsim -n 2000 -auctions 5000 -method rh-talu -report 1000
@@ -103,11 +109,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -121,6 +131,265 @@ import (
 	"repro/internal/workload"
 )
 
+// options holds every flag's parsed value. The random streams derive
+// from seed: +1 queries, +2 clicks, +3 stream arrivals and churn, +4
+// budget pacing, +5 broad-match draws, +6 broad-match query texts.
+type options struct {
+	n, slots, keywords, auctions int
+	method                       engine.Method
+	pricing                      engine.Pricing
+	heavyFrac, shadow            float64
+	heavyPar, report             int
+	seed                         int64
+
+	shards, queue int
+
+	qps         float64
+	duration    time.Duration
+	churn       int
+	overload    stream.Policy
+	zipf, burst float64
+
+	broadmatch, reserve, squash float64
+
+	budgetAt      float64
+	budgetPolicy  budget.Policy
+	budgetRefresh int
+	journalDir    string
+	recover       bool
+	fsync         journal.Fsync
+
+	serve, connect  string
+	conns, pipeline int
+	drain           bool
+	resets          int
+
+	metricsAddr string
+	traceSample int
+}
+
+// mode is one row of the mode table: the selector flag that picks it
+// ("" for the default), the other flags it reads, and its run
+// function. The table is the one place that says which modes accept a
+// flag: parseArgs rejects every set flag the chosen mode does not read.
+type mode struct {
+	name, selector string
+	flags          string // space-separated flag names
+	run            func(*options)
+}
+
+// Flag groups shared by several rows of the mode table.
+const (
+	population = "n slots keywords method pricing heavy-frac shadow heavy-parallel seed"
+	budgets    = " budget budget-policy budget-refresh journal recover fsync"
+	sharded    = " shards queue metrics-addr trace-sample"
+	broad      = " broadmatch squash reserve zipf"
+)
+
+var modes = []mode{
+	{"world", "", population + budgets + " auctions report", runWorld},
+	{"engine", "engine", population + budgets + sharded + broad + " auctions report", runEngine},
+	{"stream", "stream", population + budgets + sharded + broad + " report qps duration churn overload burst", runStream},
+	{"serve", "serve", population + budgets + sharded + " auctions overload", runServe},
+	{"connect", "connect", "keywords auctions seed conns pipeline resets drain metrics-addr", runConnect},
+}
+
+// enum is a flag whose value is one of a fixed set of names: Set looks
+// the name up case-insensitively and stores the value it selects. It
+// is the one parser behind -method, -pricing, -overload,
+// -budget-policy and -fsync.
+type enum[T any] struct {
+	dst   *T
+	names map[string]T
+}
+
+// choice sets *dst to its default and returns the flag value that
+// parses one of names into it.
+func choice[T any](dst *T, def T, names map[string]T) enum[T] {
+	*dst = def
+	return enum[T]{dst, names}
+}
+
+func (e enum[T]) String() string {
+	if e.dst == nil {
+		return ""
+	}
+	return fmt.Sprint(*e.dst)
+}
+
+func (e enum[T]) Set(s string) error {
+	v, ok := e.names[strings.ToLower(s)]
+	if !ok {
+		return fmt.Errorf("want one of %s", strings.Join(slices.Sorted(maps.Keys(e.names)), ", "))
+	}
+	*e.dst = v
+	return nil
+}
+
+// newFlags declares every flag, parsing into o. The boolean selectors
+// -engine and -stream only pick the mode, which parseArgs reads off the
+// flag set.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("auctionsim", flag.ContinueOnError)
+	fs.IntVar(&o.n, "n", 2000, "number of advertisers")
+	fs.IntVar(&o.slots, "slots", workload.DefaultSlots, "number of slots (k)")
+	fs.IntVar(&o.keywords, "keywords", workload.DefaultKeywords, "number of keywords")
+	fs.IntVar(&o.auctions, "auctions", 5000, "number of auctions to run")
+	fs.Var(choice(&o.method, engine.MethodRHTALU, map[string]engine.Method{
+		"lp": engine.MethodLP, "h": engine.MethodH, "rh": engine.MethodRH,
+		"rh-talu": engine.MethodRHTALU, "rhtalu": engine.MethodRHTALU, "talu": engine.MethodRHTALU,
+		"rh-parallel": engine.MethodRHParallel, "rhparallel": engine.MethodRHParallel, "heavy": engine.MethodHeavy,
+	}), "method", "winner determination: lp, h, rh, rh-talu (alias RHTALU), rh-parallel, heavy")
+	fs.Var(choice(&o.pricing, engine.PricingGSP, map[string]engine.Pricing{
+		"gsp": engine.PricingGSP, "vcg": engine.PricingVCG,
+	}), "pricing", "payment rule: gsp, vcg")
+	fs.Float64Var(&o.heavyFrac, "heavy-frac", 0.2, "heavyweight advertiser fraction (method heavy)")
+	fs.Float64Var(&o.shadow, "shadow", 0.3, "heavyweight click-shadowing strength (method heavy)")
+	fs.IntVar(&o.heavyPar, "heavy-parallel", 0, "method heavy: pattern-enumeration workers per market (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&o.report, "report", 1000, "print a summary every this many auctions")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.Bool("engine", false, "serve through the concurrent sharded engine (load-generator mode)")
+	fs.IntVar(&o.shards, "shards", 0, "engine worker shards (0 = GOMAXPROCS, capped at keywords)")
+	fs.IntVar(&o.queue, "queue", 0, "engine per-shard queue depth (0 = default)")
+	fs.Bool("stream", false, "serve an open-world stream through the long-running streaming server")
+	fs.Float64Var(&o.qps, "qps", 2000, "mean arrival rate")
+	fs.DurationVar(&o.duration, "duration", 5*time.Second, "stream length")
+	fs.IntVar(&o.churn, "churn", 0, "scripted advertiser add/remove events over the run")
+	fs.Var(choice(&o.overload, stream.Block, map[string]stream.Policy{
+		"block": stream.Block, "shed": stream.Shed,
+	}), "overload", "admission policy at queue saturation: block, shed")
+	fs.Float64Var(&o.zipf, "zipf", 0, "Zipf keyword- or token-popularity exponent (> 1; 0 = uniform)")
+	fs.Float64Var(&o.broadmatch, "broadmatch", 0, "broad-match relevance threshold in (0, 1]: route free-text queries to every keyword scoring at least this (0 = exact routing)")
+	fs.Float64Var(&o.reserve, "reserve", 0, "per-click reserve price: bids below reserve/weight are excluded and prices floored at the reserve")
+	fs.Float64Var(&o.squash, "squash", 1, "broad-match squashing exponent: eligible bids are weighted by relevance^squash before pricing (needs -broadmatch)")
+	fs.Float64Var(&o.burst, "burst", 1, "burst rate factor (> 1 enables on/off bursts)")
+	fs.Float64Var(&o.budgetAt, "budget", 0, "attach daily budgets scaled to this many on-target auctions and enforce them (0 = budgets off)")
+	fs.Var(choice(&o.budgetPolicy, budget.PolicyHard, map[string]budget.Policy{
+		"hard": budget.PolicyHard, "paced": budget.PolicyPaced,
+	}), "budget-policy", "budget enforcement: hard (exclude at cap), paced (smooth spend over the run)")
+	fs.IntVar(&o.budgetRefresh, "budget-refresh", 0, "budget ledger snapshot refresh, in per-keyword auctions (0 = default)")
+	fs.StringVar(&o.journalDir, "journal", "", "durable spend-journal directory (requires -budget); spend is batched, checksummed, and compacted there")
+	fs.BoolVar(&o.recover, "recover", false, "replay the -journal directory before serving and resume from the recovered spend state")
+	fs.Var(choice(&o.fsync, journal.FsyncNever, map[string]journal.Fsync{
+		"never": journal.FsyncNever, "always": journal.FsyncAlways,
+	}), "fsync", "journal durability: never (kernel page cache — survives SIGKILL), always (fsync every append — survives power loss)")
+	fs.StringVar(&o.serve, "serve", "", "serve mode: listen for networked wire-protocol clients on this address and block until a client drains the server")
+	fs.StringVar(&o.connect, "connect", "", "connect mode: drive auctions against a -serve process at this address")
+	fs.IntVar(&o.conns, "conns", 2, "client connections to open")
+	fs.IntVar(&o.pipeline, "pipeline", 4, "concurrent in-flight workers per connection")
+	fs.BoolVar(&o.drain, "drain", false, "request a graceful server drain after the load finishes")
+	fs.IntVar(&o.resets, "resets", 0, "budget resets fenced into the run at even intervals")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "expose live /metrics (Prometheus text), /debug/pprof, and /trace on this HTTP address")
+	fs.IntVar(&o.traceSample, "trace-sample", 0, "record every Nth auction into the in-memory trace ring, dumpable at /trace (0 = off)")
+	return fs
+}
+
+// parseArgs parses args, picks the mode and validates the options: at
+// most one mode selector, only flags the mode reads, then the value
+// checks. It prints nothing and never exits; main reports the error.
+func parseArgs(args []string) (*options, mode, error) {
+	o := new(options)
+	fs := newFlags(o)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); err != nil {
+		return nil, mode{}, err
+	}
+	if fs.NArg() > 0 {
+		return nil, mode{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	m := modes[0]
+	for _, c := range modes[1:] {
+		if v := fs.Lookup(c.selector).Value.String(); v == "" || v == "false" {
+			continue
+		}
+		if m.selector != "" {
+			return nil, mode{}, fmt.Errorf("-%s and -%s each select a mode; pick one", m.selector, c.selector)
+		}
+		m = c
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != m.selector && !slices.Contains(strings.Fields(m.flags), f.Name) {
+			err = fmt.Errorf("-%s is not read in %s mode", f.Name, m.name)
+		}
+	})
+	if err != nil {
+		return nil, mode{}, err
+	}
+	return o, m, o.check()
+}
+
+// check rejects out-of-range values and flags missing the flag they
+// need.
+func (o *options) check() error {
+	switch {
+	case o.n <= 0:
+		return fmt.Errorf("-n wants a positive advertiser count, got %d", o.n)
+	case o.keywords <= 0:
+		return fmt.Errorf("-keywords wants a positive keyword count, got %d", o.keywords)
+	case o.auctions <= 0:
+		return fmt.Errorf("-auctions wants a positive auction count, got %d", o.auctions)
+	case o.report <= 0:
+		return fmt.Errorf("-report wants a positive window in auctions, got %d", o.report)
+	case o.qps <= 0:
+		return fmt.Errorf("-qps wants a positive arrival rate, got %v", o.qps)
+	case o.duration <= 0:
+		return fmt.Errorf("-duration wants a positive stream length, got %v", o.duration)
+	case o.method == engine.MethodHeavy && o.slots > 20:
+		return fmt.Errorf("-method heavy enumerates 2^slots patterns and needs -slots <= 20, got %d", o.slots)
+	case o.heavyPar < 0:
+		return fmt.Errorf("-heavy-parallel wants a non-negative worker count (0 = GOMAXPROCS), got %d", o.heavyPar)
+	case o.broadmatch < 0 || o.broadmatch > 1:
+		return fmt.Errorf("-broadmatch wants a relevance threshold in (0, 1] (0 = exact routing), got %v", o.broadmatch)
+	case o.reserve < 0:
+		return fmt.Errorf("-reserve wants a non-negative per-click price, got %v", o.reserve)
+	case o.squash <= 0:
+		return fmt.Errorf("-squash wants a positive exponent (1 = rank by raw relevance), got %v", o.squash)
+	case o.traceSample < 0:
+		return fmt.Errorf("-trace-sample wants a non-negative sampling period (0 = off), got %d", o.traceSample)
+	case o.squash != 1 && o.broadmatch == 0:
+		return errors.New("-squash weights broad-match candidates and needs -broadmatch > 0")
+	case o.journalDir != "" && o.budgetAt <= 0:
+		return errors.New("-journal records budget spend and needs -budget > 0")
+	case o.recover && o.journalDir == "":
+		return errors.New("-recover replays a journal and needs -journal <dir> to say which one")
+	}
+	return nil
+}
+
+// usage prints the mode table and every flag's default to stderr.
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: auctionsim [mode selector] [flags]; each mode accepts only the flags listed:")
+	for _, m := range modes {
+		sel := "(default)"
+		if m.selector != "" {
+			sel = "-" + m.selector
+		}
+		fmt.Fprintf(os.Stderr, "  %-8s %-9s %s\n", m.name, sel, m.flags)
+	}
+	newFlags(new(options)).PrintDefaults()
+}
+
+func main() {
+	o, m, err := parseArgs(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		usage()
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "auctionsim:", err)
+		usage()
+		os.Exit(2)
+	default:
+		m.run(o)
+	}
+}
+
+// fatal reports a failure at run time (not a usage error) and exits 1.
+func fatal(what string, err error) {
+	fmt.Fprintln(os.Stderr, "auctionsim:", what, err)
+	os.Exit(1)
+}
+
 // startMetrics exposes reg (plus /debug/pprof and, when ring is
 // non-nil, the /trace dump) over HTTP and prints the bound address in
 // the same machine-parseable shape the serve-mode listener uses, so
@@ -128,277 +397,96 @@ import (
 func startMetrics(addr string, reg *obs.Registry, ring *obs.TraceRing) *obs.HTTPServer {
 	hs, err := obs.Serve(addr, reg, ring)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "auctionsim: metrics:", err)
-		os.Exit(1)
+		fatal("metrics:", err)
 	}
 	fmt.Printf("metrics: listening addr=%s\n", hs.Addr())
 	return hs
 }
 
-func main() {
-	var (
-		n         = flag.Int("n", 2000, "number of advertisers")
-		slots     = flag.Int("slots", workload.DefaultSlots, "number of slots (k)")
-		keywords  = flag.Int("keywords", workload.DefaultKeywords, "number of keywords")
-		auctions  = flag.Int("auctions", 5000, "number of auctions to run")
-		method    = flag.String("method", "rh-talu", "winner determination: lp, h, rh, rh-talu (alias RHTALU), rh-parallel, heavy")
-		pricing   = flag.String("pricing", "gsp", "payment rule: gsp, vcg")
-		heavyFrac = flag.Float64("heavy-frac", 0.2, "heavyweight advertiser fraction (method heavy)")
-		shadow    = flag.Float64("shadow", 0.3, "heavyweight click-shadowing strength (method heavy)")
-		heavyPar  = flag.Int("heavy-parallel", 0, "method heavy: pattern-enumeration workers per market (0 = GOMAXPROCS, 1 = sequential)")
-		report    = flag.Int("report", 1000, "print a summary every this many auctions")
-		seed      = flag.Int64("seed", 1, "random seed")
-		useEng    = flag.Bool("engine", false, "serve through the concurrent sharded engine (load-generator mode)")
-		shards    = flag.Int("shards", 0, "engine worker shards (0 = GOMAXPROCS, capped at keywords)")
-		queue     = flag.Int("queue", 0, "engine per-shard queue depth (0 = default)")
-		useStream = flag.Bool("stream", false, "serve an open-world stream through the long-running streaming server")
-		qps       = flag.Float64("qps", 2000, "stream mode: mean arrival rate")
-		duration  = flag.Duration("duration", 5*time.Second, "stream mode: stream length")
-		churn     = flag.Int("churn", 0, "stream mode: scripted advertiser add/remove events over the run")
-		overload  = flag.String("overload", "block", "stream mode: admission policy at queue saturation: block, shed")
-		zipf      = flag.Float64("zipf", 0, "stream/broad-match mode: Zipf keyword- or token-popularity exponent (> 1; 0 = uniform)")
-		broadTh   = flag.Float64("broadmatch", 0, "broad-match relevance threshold in (0, 1]: route free-text queries to every keyword scoring at least this (0 = exact routing; needs -engine or -stream)")
-		reserve   = flag.Float64("reserve", 0, "per-click reserve price: bids below reserve/weight are excluded and prices floored at the reserve (needs -engine or -stream)")
-		squash    = flag.Float64("squash", 1, "broad-match squashing exponent: eligible bids are weighted by relevance^squash before pricing (needs -broadmatch)")
-		burst     = flag.Float64("burst", 1, "stream mode: burst rate factor (> 1 enables on/off bursts)")
-		budgetAt  = flag.Float64("budget", 0, "attach daily budgets scaled to this many on-target auctions and enforce them (0 = budgets off)")
-		budgetPol = flag.String("budget-policy", "hard", "budget enforcement: hard (exclude at cap), paced (smooth spend over the run)")
-		budgetRef = flag.Int("budget-refresh", 0, "budget ledger snapshot refresh, in per-keyword auctions (0 = default)")
-		jdir      = flag.String("journal", "", "durable spend-journal directory (requires -budget); spend is batched, checksummed, and compacted there")
-		doRecover = flag.Bool("recover", false, "replay the -journal directory before serving and resume from the recovered spend state")
-		fsyncMode = flag.String("fsync", "never", "journal durability: never (kernel page cache — survives SIGKILL), always (fsync every append — survives power loss)")
-		serveAddr = flag.String("serve", "", "serve mode: listen for networked wire-protocol clients on this address and block until a client drains the server")
-		connAddr  = flag.String("connect", "", "connect mode: drive auctions against a -serve process at this address")
-		conns     = flag.Int("conns", 2, "connect mode: client connections to open")
-		pipeline  = flag.Int("pipeline", 4, "connect mode: concurrent in-flight workers per connection")
-		doDrain   = flag.Bool("drain", false, "connect mode: request a graceful server drain after the load finishes")
-		resets    = flag.Int("resets", 0, "connect mode: budget resets fenced into the run at even intervals")
-		metrics   = flag.String("metrics-addr", "", "expose live /metrics (Prometheus text), /debug/pprof, and /trace on this HTTP address (engine, stream, serve, connect modes)")
-		traceN    = flag.Int("trace-sample", 0, "record every Nth auction into the in-memory trace ring, dumpable at /trace (0 = off; needs -engine, -stream, or -serve)")
-	)
-	flag.Parse()
-
-	m, err := parseMethod(*method)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "auctionsim:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	pr, err := parsePricing(*pricing)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "auctionsim:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if m == engine.MethodHeavy && *slots > 20 {
-		fmt.Fprintf(os.Stderr, "auctionsim: -method heavy enumerates 2^slots patterns and needs -slots <= 20, got %d\n", *slots)
-		os.Exit(2)
-	}
-	if *heavyPar < 0 {
-		fmt.Fprintf(os.Stderr, "auctionsim: -heavy-parallel wants a non-negative worker count (0 = GOMAXPROCS), got %d\n", *heavyPar)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *broadTh < 0 || *broadTh > 1 {
-		fmt.Fprintf(os.Stderr, "auctionsim: -broadmatch wants a relevance threshold in (0, 1] (0 = exact routing), got %v\n", *broadTh)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *reserve < 0 {
-		fmt.Fprintf(os.Stderr, "auctionsim: -reserve wants a non-negative per-click price, got %v\n", *reserve)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *squash <= 0 {
-		fmt.Fprintf(os.Stderr, "auctionsim: -squash wants a positive exponent (1 = rank by raw relevance), got %v\n", *squash)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *broadTh > 0 && !*useEng && !*useStream {
-		fmt.Fprintln(os.Stderr, "auctionsim: -broadmatch routes free text through the sharded engine and needs -engine or -stream")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *broadTh > 0 && (*serveAddr != "" || *connAddr != "") {
-		fmt.Fprintln(os.Stderr, "auctionsim: -broadmatch is not available over the wire protocol (it carries keyword ids, not text) — drop -serve/-connect")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *reserve > 0 && !*useEng && !*useStream {
-		fmt.Fprintln(os.Stderr, "auctionsim: -reserve is enforced by the sharded engine's markets and needs -engine or -stream")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *squash != 1 && *broadTh == 0 {
-		fmt.Fprintln(os.Stderr, "auctionsim: -squash weights broad-match candidates and needs -broadmatch > 0")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *traceN < 0 {
-		fmt.Fprintf(os.Stderr, "auctionsim: -trace-sample wants a non-negative sampling period (0 = off), got %d\n", *traceN)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *traceN > 0 && !*useEng && !*useStream && *serveAddr == "" {
-		fmt.Fprintln(os.Stderr, "auctionsim: -trace-sample records engine-side auction traces and needs -engine, -stream, or -serve")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *metrics != "" && !*useEng && !*useStream && *serveAddr == "" && *connAddr == "" {
-		fmt.Fprintln(os.Stderr, "auctionsim: -metrics-addr exposes the serving-tier registry and needs -engine, -stream, -serve, or -connect")
-		flag.Usage()
-		os.Exit(2)
-	}
-	bm := broadOpts{threshold: *broadTh, squash: *squash, reserve: *reserve, zipf: *zipf, seed: *seed + 5}
-
-	if *connAddr != "" {
-		// Connect mode needs no local instance — the serving process
-		// owns the population; only the keyword range matters here.
-		runConnect(connectOpts{
-			addr: *connAddr, conns: *conns, pipeline: *pipeline,
-			auctions: *auctions, keywords: *keywords,
-			resets: *resets, drain: *doDrain, seed: *seed,
-			metricsAddr: *metrics,
-		})
-		return
-	}
-
-	rng := rand.New(rand.NewSource(*seed))
+// engineConfig regenerates the population from -seed and builds the
+// one engine configuration the modes serve it with; the sequential
+// world's single market reads only its method, pricing, click, budget,
+// journal and restore fields. With -budget it attaches budgets paced
+// over traffic auctions spread across lanes budget lanes (one per
+// keyword market; one in all for the sequential world), then opens the
+// journal, replaying it first with -recover. The reserve applies with
+// or without broad match; the router and the bigram catalog names only
+// when -broadmatch is on.
+func engineConfig(o *options, lanes, traffic int) (*workload.Instance, engine.Config) {
+	rng := rand.New(rand.NewSource(o.seed))
 	var inst *workload.Instance
-	if m == engine.MethodHeavy {
-		inst = workload.GenerateHeavy(rng, *n, *slots, *keywords, *heavyFrac, *shadow)
+	if o.method == engine.MethodHeavy {
+		inst = workload.GenerateHeavy(rng, o.n, o.slots, o.keywords, o.heavyFrac, o.shadow)
 	} else {
-		inst = workload.Generate(rng, *n, *slots, *keywords)
+		inst = workload.Generate(rng, o.n, o.slots, o.keywords)
 	}
-
-	var bcfg budget.Config // PolicyOff unless -budget is set
-	if *budgetAt > 0 {
-		pol, err := parseBudgetPolicy(*budgetPol)
+	cfg := engine.Config{
+		Shards:           o.shards,
+		QueueDepth:       o.queue,
+		Method:           o.method,
+		Pricing:          o.pricing,
+		ClickSeed:        o.seed + 2,
+		HeavyParallelism: o.heavyPar,
+		TraceSample:      o.traceSample,
+		Reserve:          o.reserve,
+	}
+	if o.broadmatch > 0 {
+		cfg.KeywordNames = workload.BigramKeywordNames(o.keywords)
+		cfg.Broadmatch = broadmatch.Config{Enabled: true, Threshold: o.broadmatch, Squash: o.squash, Seed: o.seed + 5}
+	}
+	if o.budgetAt <= 0 {
+		return inst, cfg
+	}
+	workload.AttachBudgets(rng, inst, o.budgetAt)
+	// The pacing horizon is per lane. The per-keyword split assumes
+	// uniform traffic: under -zipf skew a hot lane reaches its horizon
+	// early and paces greedily from there, while cold lanes never
+	// finish theirs — adaptive per-keyword forecasts are a ROADMAP
+	// follow-up.
+	cfg.Budget = budget.Config{Policy: o.budgetPolicy, RefreshEvery: o.budgetRefresh, Horizon: traffic / lanes, Seed: o.seed + 4}
+	if o.journalDir == "" {
+		return inst, cfg
+	}
+	if o.recover {
+		r, err := journal.Recover(o.journalDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim:", err)
-			flag.Usage()
-			os.Exit(2)
+			fatal("recover:", err)
 		}
-		workload.AttachBudgets(rng, inst, *budgetAt)
-		// The pacing horizon is per lane (per keyword in engine/stream
-		// mode; the whole run for the single-market sequential mode).
-		// The per-keyword split assumes uniform traffic: under -zipf
-		// skew a hot lane reaches its horizon early and paces greedily
-		// from there, while cold lanes never finish theirs — adaptive
-		// per-keyword forecasts are a ROADMAP follow-up.
-		horizon := *auctions / *keywords
-		if *useStream {
-			horizon = int(*qps * duration.Seconds() / float64(*keywords))
-		} else if !*useEng && *serveAddr == "" {
-			horizon = *auctions
-		}
-		bcfg = budget.Config{Policy: pol, RefreshEvery: *budgetRef, Horizon: horizon, Seed: *seed + 4}
-	}
-
-	if *doRecover && *jdir == "" {
-		fmt.Fprintln(os.Stderr, "auctionsim: -recover replays a journal and needs -journal <dir> to say which one")
-		flag.Usage()
-		os.Exit(2)
-	}
-	var (
-		jw      *journal.Writer
-		restore *journal.LedgerState
-	)
-	if *jdir != "" {
-		if bcfg.Policy == budget.PolicyOff {
-			fmt.Fprintln(os.Stderr, "auctionsim: -journal records budget spend and needs -budget > 0")
-			flag.Usage()
-			os.Exit(2)
-		}
-		fs, err := journal.ParseFsync(*fsyncMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim:", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		// Lanes are per keyword in engine/stream mode; the sequential
-		// world runs one cross-keyword lane.
-		lanes := *keywords
-		if !*useEng && !*useStream && *serveAddr == "" {
-			lanes = 1
-		}
-		if *doRecover {
-			r, err := journal.Recover(*jdir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "auctionsim: recover:", err)
-				os.Exit(1)
+		printRecoverySummary(r)
+		if r.State != nil {
+			// Resuming assumes the same population: identical -seed,
+			// -n, and -keywords regenerate it deterministically.
+			if int(r.State.N) != inst.N || int(r.State.Lanes) != lanes {
+				fatal("recover:", fmt.Errorf("journal covers %d advertisers x %d lanes, this run has %d x %d — rerun with the flags that wrote it",
+					r.State.N, r.State.Lanes, inst.N, lanes))
 			}
-			printRecoverySummary(r)
-			if r.State != nil {
-				// Resuming assumes the same population: identical -seed,
-				// -n, and -keywords regenerate it deterministically.
-				if int(r.State.N) != inst.N || int(r.State.Lanes) != lanes {
-					fmt.Fprintf(os.Stderr, "auctionsim: journal covers %d advertisers x %d lanes, this run has %d x %d — rerun with the flags that wrote it\n",
-						r.State.N, r.State.Lanes, inst.N, lanes)
-					os.Exit(1)
-				}
-				restore = r.State
-			}
-		}
-		if jw, err = journal.Open(*jdir, journal.Options{Fsync: fs}); err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim: journal:", err)
-			os.Exit(1)
+			cfg.Restore = r.State
 		}
 	}
-
-	if *serveAddr != "" {
-		pol, err := parsePolicy(*overload)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim:", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		runServe(inst, serveOpts{
-			addr: *serveAddr, method: m, pricing: pr,
-			shards: *shards, queue: *queue, clickSeed: *seed + 2,
-			policy: pol, budget: bcfg, journal: jw, restore: restore,
-			metricsAddr: *metrics, traceSample: *traceN,
-		})
-		return
+	var err error
+	if cfg.Journal, err = journal.Open(o.journalDir, journal.Options{Fsync: o.fsync}); err != nil {
+		fatal("journal:", err)
 	}
+	return inst, cfg
+}
 
-	if *useStream {
-		pol, err := parsePolicy(*overload)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim:", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		runStream(inst, streamOpts{
-			method: m, pricing: pr, shards: *shards, queue: *queue,
-			clickSeed: *seed + 2, report: *report, qps: *qps,
-			duration: *duration, churn: *churn, policy: pol,
-			zipf: *zipf, burst: *burst, seed: *seed + 3, budget: bcfg,
-			heavyPar: *heavyPar, journal: jw, restore: restore, broad: bm,
-			metricsAddr: *metrics, traceSample: *traceN,
-		})
-		return
-	}
-
-	queries := inst.Queries(rand.New(rand.NewSource(*seed+1)), *auctions)
-
-	if *useEng {
-		runEngine(inst, queries, m, pr, *shards, *queue, *seed+2, *report, bcfg, *heavyPar, jw, restore, bm, *metrics, *traceN)
-		return
-	}
-
-	wo := engine.MarketOpts{Method: m, Pricing: pr, ClickSeed: *seed + 2, HeavyParallelism: *heavyPar}
-	if bcfg.Policy != budget.PolicyOff {
+// runWorld is the sequential operator's view: one market serves every
+// keyword, and every report window prints revenue, clicks, fill and
+// per-auction time.
+func runWorld(o *options) {
+	inst, cfg := engineConfig(o, 1, o.auctions)
+	queries := inst.Queries(rand.New(rand.NewSource(o.seed+1)), o.auctions)
+	wo := engine.MarketOpts{Method: cfg.Method, Pricing: cfg.Pricing, ClickSeed: cfg.ClickSeed, HeavyParallelism: cfg.HeavyParallelism}
+	if cfg.Budget.Policy != budget.PolicyOff {
 		// A sequential world owns a single-lane ledger: cross-keyword
 		// budgets are exact here (one market sees all keywords).
-		led := budget.NewLedger(inst.N, 1, inst.Budget, bcfg)
-		if restore != nil {
-			led = budget.NewLedgerState(restore, inst.Budget, bcfg)
+		led := budget.NewLedger(inst.N, 1, inst.Budget, cfg.Budget)
+		if cfg.Restore != nil {
+			led = budget.NewLedgerState(cfg.Restore, inst.Budget, cfg.Budget)
 		}
-		if jw != nil {
-			if err := led.AttachJournal(jw); err != nil {
-				fmt.Fprintln(os.Stderr, "auctionsim: journal:", err)
-				os.Exit(1)
+		if cfg.Journal != nil {
+			if err := led.AttachJournal(cfg.Journal); err != nil {
+				fatal("journal:", err)
 			}
 		}
 		wo.Lane = led.Lane(0)
@@ -406,48 +494,27 @@ func main() {
 	w := engine.NewMarketOpts(inst, wo)
 
 	fmt.Printf("auctionsim: n=%d k=%d keywords=%d method=%v pricing=%v auctions=%d\n",
-		*n, *slots, *keywords, m, pr, *auctions)
+		o.n, o.slots, o.keywords, o.method, o.pricing, o.auctions)
 	fmt.Println("auction\trevenue\tclicks\tfill%\tms/auction")
 
-	var (
-		revenue   float64
-		clicks    int
-		filled    int
-		slotTotal int
-	)
+	var tot engine.Totals
 	windowStart := time.Now()
 	for a, q := range queries {
-		o := w.RunAuction(q)
-		revenue += o.Revenue
-		for j := range o.AdvOf {
-			slotTotal++
-			if o.AdvOf[j] >= 0 {
-				filled++
-			}
-			if o.Clicked[j] {
-				clicks++
-			}
-		}
-		if (a+1)%*report == 0 {
+		tot.Add(w.RunAuction(q))
+		if (a+1)%o.report == 0 {
 			elapsed := time.Since(windowStart)
 			fmt.Printf("%d\t%.0f\t%d\t%.1f\t%.3f\n",
-				a+1, revenue, clicks,
-				100*float64(filled)/float64(slotTotal),
-				float64(elapsed.Microseconds())/1000/float64(*report))
+				a+1, tot.Revenue, tot.Clicks,
+				100*float64(tot.Filled)/float64(tot.Slots),
+				float64(elapsed.Microseconds())/1000/float64(o.report))
 			windowStart = time.Now()
 		}
 	}
 
-	printSpendSummary(inst, spendTotals(inst, w), float64(w.Auctions()))
+	printSpendSummary(inst, w.Accounting().SpentTotal, float64(w.Auctions()))
 	if lane := w.BudgetLane(); lane != nil {
 		lane.Publish() // also flushes the lane's journal batch
-		printBudgetSummary(lane.Ledger())
-		if jw != nil {
-			if err := jw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "auctionsim: journal degraded:", err)
-			}
-			printJournalSummary(jw, lane.Ledger())
-		}
+		printLedger(lane.Ledger(), cfg.Journal)
 	}
 }
 
@@ -456,69 +523,35 @@ func main() {
 // every relevance class (1/2, 2/3, 1) the scorer can produce.
 const broadMaxTokens = 3
 
-// broadOpts bundles the broad-match serving knobs shared by engine
-// and stream mode.
-type broadOpts struct {
-	threshold, squash, reserve float64
-	zipf                       float64 // token-popularity skew for generated text
-	seed                       int64
-}
-
-func (o broadOpts) on() bool { return o.threshold > 0 }
-
-// apply merges the knobs into an engine config: the reserve applies
-// in every mode, the router and bigram catalog names only when broad
-// match is on.
-func (o broadOpts) apply(cfg *engine.Config, keywords int) {
-	cfg.Reserve = o.reserve
-	if o.on() {
-		cfg.KeywordNames = workload.BigramKeywordNames(keywords)
-		cfg.Broadmatch = broadmatch.Config{Enabled: true, Threshold: o.threshold, Squash: o.squash, Seed: o.seed}
-	}
-}
-
 // runEngine is load-generator mode: the stream is served in
 // report-sized batches through the sharded engine, each batch printing
 // throughput and per-auction latency percentiles. With broad match on
 // the batches are free-text queries routed by relevance instead of
 // pre-resolved keyword indices.
-func runEngine(inst *workload.Instance, queries []int, m engine.Method, pr engine.Pricing, shards, queue int, clickSeed int64, report int, bcfg budget.Config, heavyPar int, jw *journal.Writer, restore *journal.LedgerState, bm broadOpts, metricsAddr string, traceSample int) {
-	cfg := engine.Config{
-		Shards:           shards,
-		QueueDepth:       queue,
-		Method:           m,
-		Pricing:          pr,
-		ClickSeed:        clickSeed,
-		Budget:           bcfg,
-		HeavyParallelism: heavyPar,
-		Journal:          jw,
-		Restore:          restore,
-		TraceSample:      traceSample,
-	}
-	bm.apply(&cfg, inst.Keywords)
+func runEngine(o *options) {
+	inst, cfg := engineConfig(o, o.keywords, o.auctions)
+	queries := inst.Queries(rand.New(rand.NewSource(o.seed+1)), o.auctions)
 	e := engine.New(inst, cfg)
-	if metricsAddr != "" {
-		defer startMetrics(metricsAddr, e.Metrics().Registry, e.TraceRing()).Close()
+	if o.metricsAddr != "" {
+		defer startMetrics(o.metricsAddr, e.Metrics().Registry, e.TraceRing()).Close()
 	}
+	broad := o.broadmatch > 0
 	var texts []string
-	if bm.on() {
-		texts = workload.TextQueries(rand.New(rand.NewSource(bm.seed+1)), inst.Keywords, len(queries), broadMaxTokens, bm.zipf)
+	if broad {
+		texts = workload.TextQueries(rand.New(rand.NewSource(o.seed+6)), o.keywords, len(queries), broadMaxTokens, o.zipf)
 		fmt.Printf("auctionsim: engine mode (broad match: threshold=%v squash=%v reserve=%v), n=%d k=%d keywords=%d method=%v pricing=%v queries=%d shards=%d\n",
-			bm.threshold, bm.squash, bm.reserve, inst.N, inst.Slots, inst.Keywords, m, pr, len(texts), e.Shards())
+			o.broadmatch, o.squash, o.reserve, o.n, o.slots, o.keywords, o.method, o.pricing, len(texts), e.Shards())
 	} else {
 		fmt.Printf("auctionsim: engine mode, n=%d k=%d keywords=%d method=%v pricing=%v auctions=%d shards=%d\n",
-			inst.N, inst.Slots, inst.Keywords, m, pr, len(queries), e.Shards())
+			o.n, o.slots, o.keywords, o.method, o.pricing, len(queries), e.Shards())
 	}
 	fmt.Println("auction\trevenue\tclicks\tfill%\tqps\tp50µs\tp99µs")
 
 	var total engine.Stats
-	for off := 0; off < len(queries); off += report {
-		end := off + report
-		if end > len(queries) {
-			end = len(queries)
-		}
+	for off := 0; off < len(queries); off += o.report {
+		end := min(off+o.report, len(queries))
 		var st *engine.Stats
-		if bm.on() {
+		if broad {
 			st = e.ServeText(texts[off:end])
 		} else {
 			st = e.Serve(queries[off:end])
@@ -541,7 +574,7 @@ func runEngine(inst *workload.Instance, queries []int, m engine.Method, pr engin
 	fmt.Printf("total: %d auctions in %v (%.0f qps overall)\n",
 		total.Auctions, total.Elapsed.Round(time.Millisecond),
 		float64(total.Auctions)/total.Elapsed.Seconds())
-	if bm.on() {
+	if broad {
 		fmt.Printf("broad match: unrouted=%d overmatched=%d (served+unrouted = %d submitted queries)\n",
 			total.Unrouted, total.Overmatched, total.Auctions+total.Unrouted)
 	}
@@ -555,94 +588,38 @@ func runEngine(inst *workload.Instance, queries []int, m engine.Method, pr engin
 		}
 	}
 	printSpendSummary(inst, spent, float64(total.Auctions))
-	led := e.Ledger()
-	if led != nil {
-		printBudgetSummary(led) // Serve flushed the lanes: the snapshot is current
-	}
-	e.Close() // flushes the last journal batches and closes the writer
-	if jw != nil {
-		if err := jw.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim: journal degraded:", err)
-		}
-		printJournalSummary(jw, led)
-	}
-}
-
-// printBudgetSummary reports the ledger's published view — total
-// spend under enforcement, advertisers at their caps, and gate
-// denials.
-func printBudgetSummary(led *budget.Ledger) {
-	spent, exhausted, denied := led.Totals()
-	fmt.Printf("budget[%v]: spent=%.0f exhausted=%d/%d denied=%d (refresh=%d)\n",
-		led.Config().Policy, spent, exhausted, led.N(), denied, led.Config().RefreshEvery)
-}
-
-// streamOpts bundles stream-mode configuration.
-type streamOpts struct {
-	method    engine.Method
-	pricing   engine.Pricing
-	shards    int
-	queue     int
-	clickSeed int64
-	report    int
-	qps       float64
-	duration  time.Duration
-	churn     int
-	policy    stream.Policy
-	zipf      float64
-	burst     float64
-	seed      int64
-	budget    budget.Config
-	heavyPar  int
-	journal   *journal.Writer
-	restore   *journal.LedgerState
-	broad     broadOpts
-
-	metricsAddr string // "" = no HTTP exposition
-	traceSample int    // 0 = tracing off
+	e.Close() // publishes the lanes, flushes the last journal batches and closes the writer
+	printLedger(e.Ledger(), e.Journal())
 }
 
 // runStream is open-world mode: a deterministic workload.Stream paces
 // submissions (and live churn events) into the long-running streaming
 // server; every report window prints the rolling view, and Close
 // flushes the drain summary.
-func runStream(inst *workload.Instance, o streamOpts) {
-	total := int(o.qps * o.duration.Seconds())
-	if total < 1 {
-		total = 1
-	}
-	rng := rand.New(rand.NewSource(o.seed))
+func runStream(o *options) {
+	total := max(int(o.qps*o.duration.Seconds()), 1)
+	inst, cfg := engineConfig(o, o.keywords, total)
+	rng := rand.New(rand.NewSource(o.seed + 3))
 	scfg := workload.StreamConfig{
 		Queries: total, QPS: o.qps, ZipfS: o.zipf, BurstFactor: o.burst,
 		Churn: workload.ScriptChurn(rng, inst, o.churn, total),
 	}
-	if o.broad.on() {
+	if o.broadmatch > 0 {
 		scfg.TextTokens = broadMaxTokens
 	}
 	events := workload.NewStream(inst, rng, scfg)
-	ecfg := engine.Config{
-		Shards: o.shards, QueueDepth: o.queue,
-		Method: o.method, Pricing: o.pricing, ClickSeed: o.clickSeed,
-		Budget: o.budget, HeavyParallelism: o.heavyPar,
-		Journal: o.journal, Restore: o.restore,
-		TraceSample: o.traceSample,
-	}
-	o.broad.apply(&ecfg, inst.Keywords)
-	srv := stream.NewServer(inst, stream.Config{
-		Engine:   ecfg,
-		Overload: o.policy,
-	})
+	srv := stream.NewServer(inst, stream.Config{Engine: cfg, Overload: o.overload})
 	if o.metricsAddr != "" {
 		eng := srv.Engine()
 		defer startMetrics(o.metricsAddr, eng.Metrics().Registry, eng.TraceRing()).Close()
 	}
-	if o.broad.on() {
+	if o.broadmatch > 0 {
 		fmt.Printf("auctionsim: stream mode (broad match: threshold=%v squash=%v reserve=%v), n=%d k=%d keywords=%d method=%v pricing=%v qps=%.0f duration=%v overload=%v churn=%d shards=%d\n",
-			o.broad.threshold, o.broad.squash, o.broad.reserve,
-			inst.N, inst.Slots, inst.Keywords, o.method, o.pricing, o.qps, o.duration, o.policy, o.churn, srv.Shards())
+			o.broadmatch, o.squash, o.reserve,
+			o.n, o.slots, o.keywords, o.method, o.pricing, o.qps, o.duration, o.overload, o.churn, srv.Shards())
 	} else {
 		fmt.Printf("auctionsim: stream mode, n=%d k=%d keywords=%d method=%v pricing=%v qps=%.0f duration=%v overload=%v churn=%d shards=%d\n",
-			inst.N, inst.Slots, inst.Keywords, o.method, o.pricing, o.qps, o.duration, o.policy, o.churn, srv.Shards())
+			o.n, o.slots, o.keywords, o.method, o.pricing, o.qps, o.duration, o.overload, o.churn, srv.Shards())
 	}
 	fmt.Println("t\tsubmitted\tserved\tshed\tadv\tepoch\tqps(win)\tp50µs\tp95µs\tp99µs")
 
@@ -656,12 +633,10 @@ func runStream(inst *workload.Instance, o streamOpts) {
 		if ev.Churn != nil {
 			if ev.Churn.Add != nil {
 				if _, err := srv.AddAdvertiser(*ev.Churn.Add); err != nil {
-					fmt.Fprintln(os.Stderr, "auctionsim: churn add:", err)
-					os.Exit(1)
+					fatal("churn add:", err)
 				}
 			} else if err := srv.RemoveAdvertiser(ev.Churn.Remove); err != nil {
-				fmt.Fprintln(os.Stderr, "auctionsim: churn remove:", err)
-				os.Exit(1)
+				fatal("churn remove:", err)
 			}
 			continue
 		}
@@ -687,11 +662,17 @@ func runStream(inst *workload.Instance, o streamOpts) {
 				float64(st.P99.Nanoseconds())/1000)
 		}
 	}
-	st := srv.Close()
-	// Under broad match every text query is an admission unit, so the
-	// drained identity gains the unrouted and overmatched legs.
+	printDrained(srv.Close(), srv.Engine())
+}
+
+// printDrained prints a drained stream's accounting — the identity
+// line, lifetime totals and the per-shard breakdown — then the budget
+// and journal lines. Under broad match every text query is an
+// admission unit, so the identity gains the unrouted and overmatched
+// legs.
+func printDrained(st *stream.Stats, e *engine.Engine) {
 	identity := st.Served+st.Shed == st.Submitted
-	if o.broad.on() {
+	if e.Broadmatch() != nil {
 		identity = st.Served+st.Shed+st.Unrouted+st.Overmatched == st.Submitted
 	}
 	fmt.Printf("drained: submitted=%d served=%d shed=%d (identity %v) unrouted=%d overmatched=%d epochs=%d advertisers=%d\n",
@@ -703,16 +684,36 @@ func runStream(inst *workload.Instance, o streamOpts) {
 	for i, ps := range st.PerShard {
 		fmt.Printf("  shard %d: served=%d shed=%d epoch=%d\n", i, ps.Served, ps.Shed, ps.Epoch)
 	}
-	if o.budget.Policy != budget.PolicyOff {
-		fmt.Printf("budget[%v]: spent=%.0f exhausted=%d denied=%d\n",
-			o.budget.Policy, st.BudgetSpent, st.BudgetExhausted, st.BudgetDenied)
+	printLedger(e.Ledger(), e.Journal())
+}
+
+// printLedger reports a finished run's budgets: the ledger's published
+// view (total spend under enforcement, advertisers at their caps, gate
+// denials) and, with a journal, what the journal durably holds against
+// the in-memory ledger — equal totals mean a crash right now would
+// lose nothing. It closes the writer first; an engine that owns it has
+// already closed it, and Close is idempotent. led is nil with budgets
+// off, and jw nil without -journal.
+func printLedger(led *budget.Ledger, jw *journal.Writer) {
+	if led == nil {
+		return
 	}
-	if o.journal != nil { // the drain closed the engine, and with it the writer
-		if err := o.journal.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim: journal degraded:", err)
-		}
-		printJournalSummary(o.journal, srv.Engine().Ledger())
+	spent, exhausted, denied := led.Totals()
+	fmt.Printf("budget[%v]: spent=%.0f exhausted=%d/%d denied=%d (refresh=%d)\n",
+		led.Config().Policy, spent, exhausted, led.N(), denied, led.Config().RefreshEvery)
+	if jw == nil {
+		return
 	}
+	if err := jw.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "auctionsim: journal degraded:", err)
+	}
+	st := jw.Stats()
+	var exact float64
+	for i := 0; i < led.N(); i++ {
+		exact += led.ExactSpent(i)
+	}
+	fmt.Printf("journal: spent(journal)=%.0f spent(memory)=%.0f epoch=%d records=%d snapshots=%d tail=%dB staleDropped=%d\n",
+		st.TotalSpend, exact, st.Epoch, st.Records, st.Snapshots, st.JournalBytes, st.StaleDropped)
 }
 
 // printRecoverySummary reports what -recover reconstructed before the
@@ -743,77 +744,6 @@ func printRecoverySummary(r *journal.Recovery) {
 		fmt.Printf("recovery: journal damaged at byte %d (%s) — recovered the prefix before it\n",
 			r.CorruptOffset, r.CorruptReason)
 	}
-}
-
-// printJournalSummary compares what the (now flushed and closed)
-// journal durably holds against the in-memory ledger — equal totals
-// mean a crash right now would lose nothing.
-func printJournalSummary(w *journal.Writer, led *budget.Ledger) {
-	st := w.Stats()
-	var exact float64
-	if led != nil {
-		for i := 0; i < led.N(); i++ {
-			exact += led.ExactSpent(i)
-		}
-	}
-	fmt.Printf("journal: spent(journal)=%.0f spent(memory)=%.0f epoch=%d records=%d snapshots=%d tail=%dB staleDropped=%d\n",
-		st.TotalSpend, exact, st.Epoch, st.Records, st.Snapshots, st.JournalBytes, st.StaleDropped)
-}
-
-func parseBudgetPolicy(s string) (budget.Policy, error) {
-	switch strings.ToLower(s) {
-	case "hard":
-		return budget.PolicyHard, nil
-	case "paced":
-		return budget.PolicyPaced, nil
-	}
-	return 0, fmt.Errorf("unknown budget policy %q (want hard, paced)", s)
-}
-
-func parsePolicy(s string) (stream.Policy, error) {
-	switch strings.ToLower(s) {
-	case "block":
-		return stream.Block, nil
-	case "shed":
-		return stream.Shed, nil
-	}
-	return 0, fmt.Errorf("unknown overload policy %q (want block, shed)", s)
-}
-
-func parseMethod(s string) (engine.Method, error) {
-	switch strings.ToUpper(s) {
-	case "LP":
-		return engine.MethodLP, nil
-	case "H":
-		return engine.MethodH, nil
-	case "RH":
-		return engine.MethodRH, nil
-	case "RHTALU", "RH-TALU", "TALU":
-		return engine.MethodRHTALU, nil
-	case "RH-PARALLEL", "RHPARALLEL":
-		return engine.MethodRHParallel, nil
-	case "HEAVY":
-		return engine.MethodHeavy, nil
-	}
-	return 0, fmt.Errorf("unknown method %q (want lp, h, rh, rh-talu, rh-parallel, heavy)", s)
-}
-
-func parsePricing(s string) (engine.Pricing, error) {
-	switch strings.ToUpper(s) {
-	case "GSP":
-		return engine.PricingGSP, nil
-	case "VCG":
-		return engine.PricingVCG, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want gsp, vcg)", s)
-}
-
-// spendTotals extracts per-advertiser total spend from a sequential
-// world.
-func spendTotals(inst *workload.Instance, w *engine.Market) []float64 {
-	spent := make([]float64, inst.N)
-	copy(spent, w.Accounting().SpentTotal)
-	return spent
 }
 
 // printSpendSummary shows how well the ROI-equalizing population

@@ -17,61 +17,30 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/client"
-	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
-
-// serveOpts bundles serve-mode configuration.
-type serveOpts struct {
-	addr      string
-	method    engine.Method
-	pricing   engine.Pricing
-	shards    int
-	queue     int
-	clickSeed int64
-	policy    stream.Policy
-	budget    budget.Config
-	journal   *journal.Writer
-	restore   *journal.LedgerState
-
-	metricsAddr string // "" = no HTTP exposition
-	traceSample int    // 0 = tracing off
-}
 
 // runServe listens for networked clients and blocks until a wire
 // drain request completes, then prints the drained accounting —
 // connection layer first (the four-way identity), stream layer
 // underneath, budgets and journal last.
-func runServe(inst *workload.Instance, o serveOpts) {
-	s, err := server.Listen(o.addr, inst, server.Config{
-		Stream: stream.Config{
-			Engine: engine.Config{
-				Shards: o.shards, QueueDepth: o.queue,
-				Method: o.method, Pricing: o.pricing, ClickSeed: o.clickSeed,
-				Budget: o.budget, Journal: o.journal, Restore: o.restore,
-				TraceSample: o.traceSample,
-			},
-			Overload: o.policy,
-		},
-	})
+func runServe(o *options) {
+	inst, cfg := engineConfig(o, o.keywords, o.auctions)
+	s, err := server.Listen(o.serve, inst, server.Config{Stream: stream.Config{Engine: cfg, Overload: o.overload}})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "auctionsim: serve:", err)
-		os.Exit(1)
+		fatal("serve:", err)
 	}
 	fmt.Printf("auctionsim: serve mode, listening addr=%s n=%d k=%d keywords=%d method=%v pricing=%v overload=%v shards=%d\n",
-		s.Addr(), inst.N, inst.Slots, inst.Keywords, o.method, o.pricing, o.policy, s.Stream().Shards())
+		s.Addr(), o.n, o.slots, o.keywords, o.method, o.pricing, o.overload, s.Stream().Shards())
 	if o.metricsAddr != "" {
 		defer startMetrics(o.metricsAddr, s.Registry(), s.Stream().Engine().TraceRing()).Close()
 	}
@@ -90,35 +59,22 @@ func runServe(inst *workload.Instance, o serveOpts) {
 	sub, served, shed, rejected, unrouted := s.Counters()
 	fmt.Printf("net: submitted=%d served=%d shed=%d rejected=%d unrouted=%d (identity %v)\n",
 		sub, served, shed, rejected, unrouted, sub == served+shed+rejected)
-	fmt.Printf("drained: submitted=%d served=%d shed=%d (identity %v) unrouted=%d epochs=%d advertisers=%d\n",
-		st.Submitted, st.Served, st.Shed, st.Served+st.Shed == st.Submitted,
-		st.Unrouted, st.Epoch, st.Advertisers)
-	fmt.Printf("totals: revenue=%.0f clicks=%d fill=%.1f%% in %v (%.0f qps lifetime)\n",
-		st.Revenue, st.Clicks, 100*float64(st.Filled)/float64(st.TotalSlots),
-		st.Elapsed.Round(time.Millisecond), st.Throughput)
-	if o.budget.Policy != budget.PolicyOff {
-		fmt.Printf("budget[%v]: spent=%.0f exhausted=%d denied=%d\n",
-			o.budget.Policy, st.BudgetSpent, st.BudgetExhausted, st.BudgetDenied)
-		led := s.Stream().Engine().Ledger()
-		fmt.Printf("spendbits=%016x n=%d\n", spendFingerprint(led), led.N())
-	}
-	if o.journal != nil {
-		if err := o.journal.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim: journal degraded:", err)
-		}
-		printJournalSummary(o.journal, s.Stream().Engine().Ledger())
+	e := s.Stream().Engine()
+	printDrained(st, e)
+	if led := e.Ledger(); led != nil {
+		fmt.Printf("spendbits=%016x n=%d\n", spendFingerprint(led.N(), led.ExactSpent), led.N())
 	}
 }
 
-// spendFingerprint hashes the ledger's exact per-advertiser spend,
-// bit for bit, in advertiser order. A recovery that lands on the same
-// fingerprint reconstructed every float64 exactly — this is what the
+// spendFingerprint hashes n advertisers' exact spend, bit for bit, in
+// advertiser order. A recovery that lands on the same fingerprint as
+// the ledger reconstructed every float64 exactly — this is what the
 // network soak's parent process compares against journal.Recover.
-func spendFingerprint(led *budget.Ledger) uint64 {
+func spendFingerprint(n int, spent func(i int) float64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	for i := 0; i < led.N(); i++ {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(led.ExactSpent(i)))
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(spent(i)))
 		h.Write(b[:])
 	}
 	return h.Sum64()
@@ -127,66 +83,40 @@ func spendFingerprint(led *budget.Ledger) uint64 {
 // recoveryFingerprint is spendFingerprint over a recovered journal
 // state — the other half of the cross-process bitwise comparison.
 func recoveryFingerprint(st *journal.LedgerState) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < int(st.N); i++ {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(st.Spent(i)))
-		h.Write(b[:])
-	}
-	return h.Sum64()
+	return spendFingerprint(int(st.N), st.Spent)
 }
 
-// connectOpts bundles connect-mode configuration.
-type connectOpts struct {
-	addr     string
-	conns    int // client connections to open
-	pipeline int // concurrent in-flight workers per connection
-	auctions int // total auctions across all workers
-	keywords int
-	resets   int  // budget resets spread through the run (0 = none)
-	drain    bool // request a graceful server drain when done
-	seed     int64
-
-	metricsAddr string // "" = no HTTP exposition
-}
-
-// runConnect opens conns connections, drives auctions through them
-// with pipeline concurrent workers each, and prints client-side
-// dispositions plus end-to-end latency percentiles. With -drain it
-// finishes by requesting a graceful server drain and printing the
-// server's final stats as the server reported them over the wire.
-func runConnect(o connectOpts) {
-	if o.conns < 1 {
-		o.conns = 1
-	}
-	if o.pipeline < 1 {
-		o.pipeline = 1
-	}
-	// With -metrics-addr the client side grows its own registry: the
-	// end-to-end RTT histogram is shared across every connection
-	// (records are atomic), and the in-flight gauge sums window
-	// occupancy at scrape time.
-	var rtt *obs.Histogram
+// runConnect opens -conns connections, drives -auctions auctions
+// through them with -pipeline concurrent workers each, and prints
+// client-side dispositions plus end-to-end latency percentiles. With
+// -drain it finishes by requesting a graceful server drain and
+// printing the server's final stats as the server reported them over
+// the wire.
+func runConnect(o *options) {
+	o.conns, o.pipeline = max(o.conns, 1), max(o.pipeline, 1)
+	// The end-to-end RTT histogram is shared across every connection
+	// (records are atomic) and is where the printed percentiles come
+	// from; with -metrics-addr it and the in-flight gauge, which sums
+	// window occupancy at scrape time, are also exposed live.
+	reg := obs.NewRegistry()
+	rtt := reg.Histogram("ssa_client_rtt_ns", "end-to-end auction round-trip time, client-observed")
 	cs := make([]*client.Conn, o.conns)
-	if o.metricsAddr != "" {
-		reg := obs.NewRegistry()
-		rtt = reg.Histogram("ssa_client_rtt_ns", "end-to-end auction round-trip time, client-observed")
-		reg.Gauge("ssa_client_inflight", "requests currently occupying pipeline window slots", func() float64 {
-			n := 0
-			for _, c := range cs {
-				if c != nil {
-					n += c.Inflight()
-				}
+	reg.Gauge("ssa_client_inflight", "requests currently occupying pipeline window slots", func() float64 {
+		n := 0
+		for _, c := range cs {
+			if c != nil {
+				n += c.Inflight()
 			}
-			return float64(n)
-		})
+		}
+		return float64(n)
+	})
+	if o.metricsAddr != "" {
 		defer startMetrics(o.metricsAddr, reg, nil).Close()
 	}
 	for i := range cs {
-		c, err := client.Dial(o.addr, client.Options{Window: o.pipeline, Timeout: 30 * time.Second, RTT: rtt})
+		c, err := client.Dial(o.connect, client.Options{Window: o.pipeline, Timeout: 30 * time.Second, RTT: rtt})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim: connect:", err)
-			os.Exit(1)
+			fatal("connect:", err)
 		}
 		cs[i] = c
 		defer c.Close()
@@ -194,7 +124,6 @@ func runConnect(o connectOpts) {
 
 	workers := o.conns * o.pipeline
 	var served, shed, rejected atomic.Int64
-	lat := make([][]int64, workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {
@@ -207,7 +136,6 @@ func runConnect(o connectOpts) {
 			defer wg.Done()
 			c := cs[w%o.conns]
 			rng := rand.New(rand.NewSource(o.seed + int64(w)))
-			durs := make([]int64, 0, per)
 			// Worker 0 fences the run with budget resets at even
 			// intervals while the other workers keep submitting — the
 			// soak's mid-traffic reset-fence pressure.
@@ -219,14 +147,10 @@ func runConnect(o connectOpts) {
 			for i := 0; i < per; i++ {
 				if resetEvery > 0 && i > 0 && i%resetEvery == 0 && i/resetEvery <= o.resets {
 					if err := c.ResetBudgets(); err != nil {
-						fmt.Fprintln(os.Stderr, "auctionsim: reset:", err)
-						os.Exit(1)
+						fatal("reset:", err)
 					}
 				}
-				t0 := time.Now()
-				err := c.AuctionInto(rng.Intn(o.keywords), &out)
-				durs = append(durs, time.Since(t0).Nanoseconds())
-				switch {
+				switch err := c.AuctionInto(rng.Intn(o.keywords), &out); {
 				case err == nil:
 					served.Add(1)
 				case errors.Is(err, client.ErrShed):
@@ -234,38 +158,24 @@ func runConnect(o connectOpts) {
 				case errors.Is(err, client.ErrRejected):
 					rejected.Add(1)
 				default:
-					fmt.Fprintln(os.Stderr, "auctionsim: auction:", err)
-					os.Exit(1)
+					fatal("auction:", err)
 				}
 			}
-			lat[w] = durs
 		}(w, per)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var all []int64
-	for _, d := range lat {
-		all = append(all, d...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) time.Duration {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(all)-1))
-		return time.Duration(all[i])
-	}
+	p50, _, p99, _ := rtt.Snapshot().Percentiles()
 	fmt.Printf("connect: done auctions=%d served=%d shed=%d rejected=%d conns=%d pipeline=%d elapsed=%v qps=%.0f p50=%v p99=%v\n",
 		o.auctions, served.Load(), shed.Load(), rejected.Load(), o.conns, o.pipeline,
 		elapsed.Round(time.Millisecond), float64(o.auctions)/elapsed.Seconds(),
-		pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
+		p50.Round(time.Microsecond), p99.Round(time.Microsecond))
 
 	if o.drain {
 		st, err := cs[0].Drain()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "auctionsim: drain:", err)
-			os.Exit(1)
+			fatal("drain:", err)
 		}
 		fmt.Printf("drain: submitted=%d served=%d shed=%d rejected=%d (identity %v) stream-served=%d epoch=%d\n",
 			st.Submitted, st.Served, st.Shed, st.Rejected,

@@ -14,7 +14,6 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/exec"
@@ -25,11 +24,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/budget"
-	"repro/internal/engine"
 	"repro/internal/journal"
-	"repro/internal/stream"
-	"repro/internal/workload"
 )
 
 const (
@@ -45,47 +40,32 @@ const (
 	netResets   = 2
 )
 
-// netInstance regenerates the soak population deterministically in
-// the serve child — the connect children never see it; only the
-// keyword range crosses the wire.
-func netInstance() *workload.Instance {
-	inst := workload.Generate(rand.New(rand.NewSource(601)), netN, 4, netKeywords)
-	workload.AttachBudgets(rand.New(rand.NewSource(602)), inst, 60)
-	return inst
-}
-
 // netServeChild is the serving process: a budgeted, journaling
-// networked server on an ephemeral loopback port. runServe prints the
-// listening address (the parent scrapes the port), blocks until a
-// connect child drains it, and prints the accounting the parent
-// asserts on.
+// networked server on an ephemeral loopback port, run through main()
+// with the flags an operator would pass. It regenerates the soak
+// population from -seed (the connect children never see it; only the
+// keyword range crosses the wire), prints the listening address (the
+// parent scrapes the port), blocks until a connect child drains it,
+// and prints the accounting the parent asserts on.
 func netServeChild(dir string) {
-	w, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "net serve child:", err)
-		os.Exit(1)
-	}
-	runServe(netInstance(), serveOpts{
-		addr: "127.0.0.1:0", method: engine.MethodRHTALU, pricing: engine.PricingGSP,
-		shards: 3, queue: 16, clickSeed: 13, policy: stream.Block,
-		budget:  budget.Config{Policy: budget.PolicyHard, RefreshEvery: 8},
-		journal: w,
+	os.Args = []string{"auctionsim", "-serve", "127.0.0.1:0",
+		"-n", strconv.Itoa(netN), "-slots", "4", "-keywords", strconv.Itoa(netKeywords), "-seed", "601",
+		"-shards", "3", "-queue", "16", "-budget", "60", "-budget-refresh", "8", "-journal", dir,
 		// The soak parent scrapes this endpoint mid-traffic and, via
 		// AUCTIONSIM_METRICS_OUT, reads the post-drain render.
-		metricsAddr: "127.0.0.1:0", traceSample: 16,
-	})
+		"-metrics-addr", "127.0.0.1:0", "-trace-sample", "16"}
+	main()
 }
 
 // netConnectChild is one load-generating process.
 func netConnectChild(addr string) {
-	auctions, _ := strconv.Atoi(os.Getenv(netAuctionsEnv))
-	resets, _ := strconv.Atoi(os.Getenv(netResetsEnv))
-	seed, _ := strconv.ParseInt(os.Getenv(netSeedEnv), 10, 64)
-	runConnect(connectOpts{
-		addr: addr, conns: 2, pipeline: 4,
-		auctions: auctions, keywords: netKeywords,
-		resets: resets, drain: os.Getenv(netDrainEnv) == "1", seed: seed,
-	})
+	os.Args = []string{"auctionsim", "-connect", addr, "-conns", "2", "-pipeline", "4",
+		"-auctions", os.Getenv(netAuctionsEnv), "-keywords", strconv.Itoa(netKeywords),
+		"-resets", os.Getenv(netResetsEnv), "-seed", os.Getenv(netSeedEnv)}
+	if os.Getenv(netDrainEnv) == "1" {
+		os.Args = append(os.Args, "-drain")
+	}
+	main()
 }
 
 // scrapeMetric GETs the serve child's /metrics endpoint and returns
