@@ -74,9 +74,10 @@ func BenchmarkMarketSteadyStateRH(b *testing.B) {
 // steady-state auction under MethodRHTALU: trigger firings, O(1)
 // logical updates, per-slot threshold algorithm, workspace winner
 // determination, GSP pricing, and the winners' recomputes. Its
-// per-auction time grows with winners and due triggers rather than n,
-// which is why its large-n rows must undercut
-// BenchmarkMarketSteadyStateRH (TestTALUSteadyStateAllocs pins the
+// steady-state program evaluations are flat in n and its threshold
+// algorithm reads a sublinear share of the bid list, so its large-n
+// rows are expected to undercut BenchmarkMarketSteadyStateRH — a
+// figure to report, not a gate (TestTALUSteadyStateAllocs pins the
 // 0 allocs/op).
 func BenchmarkMarketSteadyStateTALU(b *testing.B) {
 	benchMarketSteadyState(b, SimRHTALU)

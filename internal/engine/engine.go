@@ -318,10 +318,10 @@ func New(inst *workload.Instance, cfg Config) *Engine {
 	}
 	e.met = newMetrics(e)
 	names := make([]string, inst.Keywords)
-	cols := clickColumns(inst, cfg.Method)
+	click := newClickData(inst, cfg.Method)
 	for q := 0; q < inst.Keywords; q++ {
 		e.shardOf[q] = q % cfg.Shards
-		e.markets[q] = NewMarketOpts(inst, e.marketOpts(q, e.Ledger(), cols))
+		e.markets[q] = NewMarketOpts(inst, e.marketOpts(q, e.Ledger(), click))
 		name := fmt.Sprintf("kw%d", q)
 		if q < len(cfg.KeywordNames) && cfg.KeywordNames[q] != "" {
 			name = cfg.KeywordNames[q]
@@ -669,11 +669,11 @@ func (e *Engine) RebuildShard(s int, inst *workload.Instance, led *budget.Ledger
 	if inst.Keywords != len(e.markets) {
 		panic(fmt.Sprintf("engine: RebuildShard keyword catalog changed (%d != %d)", inst.Keywords, len(e.markets)))
 	}
-	cols := clickColumns(inst, e.cfg.Method) // shared by the shard's markets
+	click := newClickData(inst, e.cfg.Method) // shared by the shard's markets
 	for q := range e.markets {
 		if e.shardOf[q] == s {
 			old := e.markets[q]
-			e.markets[q] = NewMarketOpts(inst, e.marketOpts(q, led, cols))
+			e.markets[q] = NewMarketOpts(inst, e.marketOpts(q, led, click))
 			// The replaced market is between auctions on this very
 			// goroutine, so its heavyweight worker pool (if any) is
 			// idle and safe to stop.
@@ -683,11 +683,11 @@ func (e *Engine) RebuildShard(s int, inst *workload.Instance, led *budget.Ledger
 }
 
 // marketOpts assembles keyword q's market options from the engine
-// configuration, the given ledger and the instance's shared slot-major
-// click matrix — the one place New and RebuildShard derive
+// configuration, the given ledger and the instance's shared click
+// data — the one place New and RebuildShard derive
 // construction parameters, so a rebuilt market is exactly what New
 // would build.
-func (e *Engine) marketOpts(q int, led *budget.Ledger, cols []float64) MarketOpts {
+func (e *Engine) marketOpts(q int, led *budget.Ledger, click clickData) MarketOpts {
 	return MarketOpts{
 		Method:           e.cfg.Method,
 		Pricing:          e.cfg.Pricing,
@@ -698,7 +698,7 @@ func (e *Engine) marketOpts(q int, led *budget.Ledger, cols []float64) MarketOpt
 		Tracer:           e.tracer,
 		TraceKeyword:     q,
 		TraceShard:       e.shardOf[q],
-		clickCols:        cols,
+		click:            click,
 	}
 }
 

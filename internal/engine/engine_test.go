@@ -337,40 +337,52 @@ func marketSizeAllocs(t *testing.T, method Method) {
 // accounting all run in reused buffers.
 func TestMarketSteadyStateAllocs(t *testing.T) { marketSizeAllocs(t, MethodRH) }
 
-// TestRebuiltMarketSteadyStateAllocs: the RH markets a churn fence
-// (RebuildShard) creates share one slot-major click matrix per shard,
-// and a warm auction on one of them allocates nothing.
+// TestRebuiltMarketSteadyStateAllocs: the markets a churn fence
+// (RebuildShard) creates share the shard's click data — one slot-major
+// matrix, and under TALU one per-slot sorted order — and a warm
+// auction on one of them allocates nothing.
 func TestRebuiltMarketSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
 	inst := workload.Generate(rand.New(rand.NewSource(70)), 1000, 15, 10)
 	queries := inst.Queries(rand.New(rand.NewSource(71)), 4096)
-	e := New(inst, Config{Shards: 2, Method: MethodRH, ClickSeed: 7})
-	defer e.Close()
-	done := make(chan struct{})
-	e.Control(0, func(s int) { e.RebuildShard(s, inst, nil); close(done) }, true)
-	<-done
-	var own []int
-	for q := 0; q < inst.Keywords; q++ {
-		if e.ShardOf(q) == 0 {
-			own = append(own, q)
-		}
-	}
-	first := e.KeywordMarket(own[0])
-	for _, q := range own[1:] {
-		if &e.KeywordMarket(q).clickCols[0] != &first.clickCols[0] {
-			t.Fatalf("keyword %d's rebuilt market holds its own click matrix", q)
-		}
-	}
-	kwQueries := make([]int, 0, len(queries))
-	for _, q := range queries {
-		if q == own[0] {
-			kwQueries = append(kwQueries, q)
-		}
-	}
-	if allocs := warmAllocs(first, kwQueries, len(kwQueries)/2, 200); allocs != 0 {
-		t.Fatalf("steady-state rebuilt RH auction allocates %.2f objects/op, want 0", allocs)
+	for _, method := range []Method{MethodRH, MethodRHTALU} {
+		t.Run(method.String(), func(t *testing.T) {
+			e := New(inst, Config{Shards: 2, Method: method, ClickSeed: 7})
+			defer e.Close()
+			done := make(chan struct{})
+			e.Control(0, func(s int) { e.RebuildShard(s, inst, nil); close(done) }, true)
+			<-done
+			var own []int
+			for q := 0; q < inst.Keywords; q++ {
+				if e.ShardOf(q) == 0 {
+					own = append(own, q)
+				}
+			}
+			first := e.KeywordMarket(own[0])
+			if (first.click.order != nil) != (method == MethodRHTALU) {
+				t.Fatalf("rebuilt market's click order is %v, want it built only under TALU", first.click.order != nil)
+			}
+			for _, q := range own[1:] {
+				c := e.KeywordMarket(q).click
+				if &c.cols[0] != &first.click.cols[0] {
+					t.Fatalf("keyword %d's rebuilt market holds its own click matrix", q)
+				}
+				if c.order != nil && &c.order[0][0] != &first.click.order[0][0] {
+					t.Fatalf("keyword %d's rebuilt market holds its own click order", q)
+				}
+			}
+			kwQueries := make([]int, 0, len(queries))
+			for _, q := range queries {
+				if q == own[0] {
+					kwQueries = append(kwQueries, q)
+				}
+			}
+			if allocs := warmAllocs(first, kwQueries, len(kwQueries)/2, 200); allocs != 0 {
+				t.Fatalf("steady-state rebuilt %v auction allocates %.2f objects/op, want 0", method, allocs)
+			}
+		})
 	}
 }
 

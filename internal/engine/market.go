@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/budget"
@@ -64,9 +66,9 @@ type Market struct {
 	weightFn func(i, j int) float64
 	out      Outcome
 
-	// clickCols is the slot-major click-probability matrix MethodRH's
-	// selection walks (nil under every other method).
-	clickCols []float64
+	// click is the instance's static click data the RH and RHTALU
+	// selection read (zero under every other method).
+	click clickData
 
 	// GSP pricing scratch: assignedMark[i] == assignedStamp iff
 	// advertiser i holds a slot in the current auction (the stamp
@@ -98,11 +100,11 @@ type Market struct {
 
 // gate is a market's participation predicate — budget gate ∧ reserve
 // cutoff — shared by the explicit bid vector (applyGate) and the TALU
-// path (its bid-source wrapper and winner-determination score), so
-// the two stay exactly equivalent under budgets and reserves. An
-// excluded advertiser participates with a bid of zero this auction —
-// the serving-side analogue of the sqlmini budget program's "UPDATE
-// Keywords SET bid = 0" — while its bid *state* keeps evolving.
+// path (its per-auction gated-bid cache), so the two stay exactly
+// equivalent under budgets and reserves. An excluded advertiser
+// participates with a bid of zero this auction — the serving-side
+// analogue of the sqlmini budget program's "UPDATE Keywords SET bid =
+// 0" — while its bid *state* keeps evolving.
 type gate struct {
 	// lane is the market's slice of the cross-keyword budget ledger;
 	// nil disables budget enforcement.
@@ -155,29 +157,54 @@ type MarketOpts struct {
 	TraceKeyword int
 	TraceShard   int
 
-	// clickCols is the instance's slot-major click-probability matrix
-	// (see clickColumns), built once by the engine and shared by the
-	// markets it creates over one instance. Nil makes a MethodRH market
-	// build its own.
-	clickCols []float64
+	// click is the instance's static click data (see clickData), built
+	// once by the engine and shared by the markets it creates over one
+	// instance. The zero value makes the market build its own.
+	click clickData
 }
 
-// clickColumns lays inst.ClickProb out slot-major, cp[j·n+i] =
-// ClickProb[i][j], so that MethodRH's per-slot selection walks one
-// contiguous column per slot (matching.Workspace.SelectDense). It
-// returns nil for every other method, which never reads it.
-func clickColumns(inst *workload.Instance, method Method) []float64 {
-	if method != MethodRH {
-		return nil
+// clickData is an instance's static click-probability layout, built
+// once per instance and shared read-only by every market over it. cols
+// lays inst.ClickProb out slot-major, cols[j·n+i] = ClickProb[i][j],
+// so that a slot's scores are one contiguous column (MethodRH's
+// matching.Workspace.SelectDense and MethodRHTALU's random accesses);
+// order[j] lists slot j's advertisers by descending click probability,
+// ties by ascending id — the static sorted list of MethodRHTALU's
+// threshold algorithm. Methods that read neither get the zero value.
+type clickData struct {
+	cols  []float64
+	order [][]topk.Item
+}
+
+func newClickData(inst *workload.Instance, method Method) clickData {
+	if method != MethodRH && method != MethodRHTALU {
+		return clickData{}
 	}
 	n := inst.N
-	cp := make([]float64, inst.Slots*n)
+	cols := make([]float64, inst.Slots*n)
 	for i, row := range inst.ClickProb {
 		for j, p := range row[:inst.Slots] {
-			cp[j*n+i] = p
+			cols[j*n+i] = p
 		}
 	}
-	return cp
+	if method == MethodRH {
+		return clickData{cols: cols}
+	}
+	order := make([][]topk.Item, inst.Slots)
+	for j := range order {
+		items := make([]topk.Item, n)
+		for i, p := range cols[j*n : (j+1)*n] {
+			items[i] = topk.Item{ID: i, Score: p}
+		}
+		slices.SortFunc(items, func(a, b topk.Item) int {
+			if c := cmp.Compare(b.Score, a.Score); c != 0 {
+				return c
+			}
+			return a.ID - b.ID
+		})
+		order[j] = items
+	}
+	return clickData{cols: cols, order: order}
 }
 
 // NewMarketOpts builds a fresh market. Two markets with equal
@@ -198,17 +225,17 @@ func NewMarketOpts(inst *workload.Instance, o MarketOpts) *Market {
 		traceKw:    int32(o.TraceKeyword),
 		traceShard: int32(o.TraceShard),
 	}
+	m.click = o.click
+	if m.click.cols == nil {
+		m.click = newClickData(inst, method)
+	}
 	if method == MethodRHTALU {
-		m.talu = newTALUEngine(inst, m.acct, &m.gate, o.Lane != nil || o.Reserve > 0)
+		m.talu = newTALUEngine(inst, m.acct, &m.gate, m.click)
 	} else {
 		m.ex = newExplicitEngine(inst)
 	}
 	m.ws = matching.NewWorkspace()
 	m.bidf = make([]float64, inst.N)
-	m.clickCols = o.clickCols
-	if m.clickCols == nil {
-		m.clickCols = clickColumns(inst, method)
-	}
 	m.weightFn = func(i, j int) float64 {
 		return m.Inst.ClickProb[i][j] * m.bidf[i]
 	}
@@ -294,9 +321,8 @@ func (m *Market) FlushBudget() {
 // the new lane. The market's own state — bids, accounting, ROI, click RNG —
 // is untouched: a reset re-admits exhausted advertisers without
 // rewinding anyone's trajectory. Must run on the owning goroutine
-// between auctions. Toggling enforcement on or off is not supported
-// (the TALU fast path bakes the gate's presence into its sources at
-// construction): both lanes must be non-nil, or both nil.
+// between auctions. Toggling enforcement on or off is not supported:
+// both lanes must be non-nil, or both nil.
 func (m *Market) SetLane(lane *budget.Lane) {
 	if (m.gate.lane == nil) != (lane == nil) {
 		panic("engine: SetLane cannot toggle budget enforcement on a live market")
@@ -434,7 +460,7 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 			// The scalable serving path: dense top-(k+1) selection over
 			// the slot-major click matrix and reduced assignment, zero
 			// allocations in steady state.
-			lists = m.ws.SelectDense(m.Inst.N, k, k+1, m.clickCols, m.bidf)
+			lists = m.ws.SelectDense(m.Inst.N, k, k+1, m.click.cols, m.bidf)
 			m.ws.AssignCandidatesInto(score, lists, out.AdvOf)
 			advOf = out.AdvOf
 		case MethodRHParallel:

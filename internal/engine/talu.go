@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/logical"
 	"repro/internal/matching"
@@ -37,19 +36,23 @@ import (
 // by clickProb·bid are found by Fagin's threshold algorithm over two
 // sorted sources — the static click-probability list for the slot and
 // the merged (increment ∪ decrement ∪ constant) bid lists — again
-// without touching most bidders.
+// without touching most bidders. The k slot runs of one auction share
+// their work: the merged bid order is walked once, into a prefix every
+// run reads (it grows only when a run goes deeper than all earlier
+// ones), each advertiser's gated bid is derived once into a per-auction
+// cache, and the static click data (slot-major matrix and per-slot
+// sorted order) is built once per instance and shared by its markets.
 //
 // Steady-state allocation discipline. Everything the per-auction path
-// touches is persistent: the per-slot SliceSources and their Get
-// closures, the one reusable MergedSource (Reset per slot instead of
-// rebuilt), the runner's heap and scratch, the per-slot candidate
-// list backing arrays, the aggregation and score closures, and the
-// trigger queues (index-based registrations, pre-grown). Group
-// membership churn recycles treap nodes through a per-keyword shared
-// pool (a bidder occupies exactly one of a keyword's three groups, so
-// the pool never grows after construction), and winner determination
-// runs in the caller's matching.Workspace. A steady-state auction
-// therefore performs zero heap allocations — the guarantee
+// touches is persistent: the merged source (Reset once per auction),
+// the bid prefix, the stamp arrays, the per-slot candidate list
+// backing arrays, the score closure, and the trigger queues
+// (index-based registrations, pre-grown). Group membership churn
+// recycles treap nodes through a per-keyword shared pool (a bidder
+// occupies exactly one of a keyword's three groups, so the pool never
+// grows after construction), and winner determination runs in the
+// caller's matching.Workspace. A steady-state auction therefore
+// performs zero heap allocations — the guarantee
 // TestTALUSteadyStateAllocs enforces.
 type taluEngine struct {
 	inst *workload.Instance
@@ -58,20 +61,21 @@ type taluEngine struct {
 	// gate is the owning market's participation predicate (budget gate
 	// ∧ reserve cutoff). It is applied lazily, preserving Section IV's
 	// sublinearity: instead of scanning all n advertisers per auction,
-	// it is consulted only for advertisers the threshold algorithm
-	// actually touches — the merged bid source's random accesses
-	// return 0 for excluded advertisers (gateSource below), and
-	// the winner-determination score does the same. Sorted accesses
-	// still surface the stored bids, which keeps the TA threshold a
-	// valid upper bound (the gate only lowers true scores), so the
-	// algorithm remains correct and merely scans past excluded
-	// entries. Because the explicit engine applies the same predicate
-	// by zeroing effective bids while leaving bid *state* drifting, the
-	// two engines stay exactly equivalent under budgets and reserves.
+	// it is consulted once per auction for each advertiser the
+	// threshold algorithm actually touches (gatedBid), and excluded
+	// advertisers score 0 in both the selection and the
+	// winner-determination score. Sorted accesses still surface the
+	// stored bids, which keeps the TA threshold a valid upper bound
+	// (the gate only lowers true scores), so the algorithm remains
+	// correct and merely scans past excluded entries. Because the
+	// explicit engine applies the same predicate by zeroing effective
+	// bids while leaving bid *state* drifting, the two engines stay
+	// exactly equivalent under budgets and reserves.
 	gate *gate
 
 	// groups[q][mode] holds the bidders whose behavior for keyword q
-	// is mode (modeConst/modeInc/modeDec); member[i][q] records which.
+	// is mode (modeConst/modeInc/modeDec); member[q][i] records which
+	// (keyword-major, so an auction's lookups read one array).
 	groups [][]*logical.Group
 	member [][]int8
 	// genTime[i] is bumped on every recompute of bidder i,
@@ -90,29 +94,36 @@ type taluEngine struct {
 	kwTr   []logical.Triggers // keyed on per-keyword auction counts
 	count  []int              // per-keyword auction counters
 
-	// wSorted[j] lists advertisers by descending click probability in
-	// slot j — the static sorted lists the threshold algorithm reads.
-	// wSources[j] adapts the list (plus its invariant random-access
-	// closure) as a ta.Source, reset per auction rather than rebuilt.
-	wSorted  [][]topk.Item
-	wSources []*ta.SliceSource
+	// cols is the slot-major click matrix (cols[j·n+i] =
+	// ClickProb[i][j]) and order[j] slot j's advertisers by descending
+	// click probability, ties by ascending id — the static sorted lists
+	// the threshold algorithm reads, shared by every market over the
+	// instance (see clickData).
+	cols  []float64
+	order [][]topk.Item
 	// bidSource is the one merged increment ∪ decrement ∪ constant
-	// view, re-seeded onto the auction keyword's groups before each
-	// slot's threshold-algorithm run.
+	// view, re-seeded onto the auction keyword's groups once per
+	// auction; prefix holds the part of its order the slot runs have
+	// read so far, as (id, effective bid) pairs.
 	bidSource *logical.MergedSource
-	// srcs[j] is the invariant source pair {wSources[j], bidSource}
-	// handed to the runner for slot j.
-	srcs [][]ta.Source
-	// lists[j] is slot j's top-(k+1) candidate list, workspace-style
-	// reused backing arrays filled by TopKInto.
+	prefix    []topk.Item
+	// bids caches each advertiser's gated effective bid for the
+	// in-flight auction: bids[i] is valid iff its stamp equals
+	// auctionGen. seen[i] == runGen marks advertiser i as met by the
+	// current slot run. Both counters clear their array on wrap-around.
+	bids       []cachedBid
+	auctionGen uint32
+	seen       []uint32
+	runGen     uint32
+	// lists[j] is slot j's top-(k+1) candidate list and stats[j] the
+	// threshold-algorithm work that found it, both for the last
+	// auction; the lists' backing arrays are reused.
 	lists [][]topk.Item
-	// product aggregates (clickProb, bid) — invariant, built once.
-	product func(v []float64) float64
+	stats []ta.Stats
 	// score is the winner-determination weight clickProb·bid for the
-	// in-flight auction's keyword (read through curQ) — built once.
+	// in-flight auction's keyword, read through the gated-bid cache —
+	// built once.
 	score func(i, j int) float64
-	// runner is the reusable threshold-algorithm executor.
-	runner *ta.Runner
 
 	t    float64 // current auction time
 	curQ int     // keyword of the auction being processed
@@ -124,24 +135,38 @@ type taluEngine struct {
 	recomputes int64
 }
 
-// newTALUEngine builds the §IV engine over the market's gate. gated
-// bakes the gate-consulting bid-source wrapper into srcs (the market
-// has a budget lane or a reserve); the lane and the per-auction cutoff
-// are read through g, so Market.SetLane and RunWeighted need not tell
-// the engine.
-func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, gated bool) *taluEngine {
+// cachedBid is one entry of the per-auction bid cache: the
+// advertiser's effective bid, or 0 when the gate excludes it.
+type cachedBid struct {
+	stamp uint32
+	bid   float64
+}
+
+// newTALUEngine builds the §IV engine over the market's gate and the
+// instance's shared click data (click.cols and click.order must be
+// set). The lane and the per-auction cutoff are read through g, so
+// Market.SetLane and RunWeighted need not tell the engine.
+func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, click clickData) *taluEngine {
+	k := inst.Slots
 	e := &taluEngine{
-		inst:    inst,
-		acct:    acct,
-		gate:    g,
-		groups:  make([][]*logical.Group, inst.Keywords),
-		member:  make([][]int8, inst.N),
-		genTime: make([]int, inst.N),
-		genKw:   make([][]int, inst.N),
-		kwTr:    make([]logical.Triggers, inst.Keywords),
-		count:   make([]int, inst.Keywords),
-		runner:  ta.NewRunner(inst.N),
-		curQ:    -1,
+		inst:      inst,
+		acct:      acct,
+		gate:      g,
+		groups:    make([][]*logical.Group, inst.Keywords),
+		member:    make([][]int8, inst.Keywords),
+		genTime:   make([]int, inst.N),
+		genKw:     make([][]int, inst.N),
+		kwTr:      make([]logical.Triggers, inst.Keywords),
+		count:     make([]int, inst.Keywords),
+		cols:      click.cols,
+		order:     click.order,
+		bidSource: &logical.MergedSource{},
+		prefix:    make([]topk.Item, 0, inst.N),
+		bids:      make([]cachedBid, inst.N),
+		seen:      make([]uint32, inst.N),
+		lists:     make([][]topk.Item, k),
+		stats:     make([]ta.Stats, k),
+		curQ:      -1,
 	}
 	var seed uint64 = 1
 	for q := 0; q < inst.Keywords; q++ {
@@ -149,10 +174,10 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, gated boo
 		// every bidder is in exactly one of them, so membership churn
 		// recycles nodes instead of allocating.
 		e.groups[q] = logical.NewGroupSet(seed, inst.N, 3)
+		e.member[q] = make([]int8, inst.N)
 		seed += 3
 	}
 	for i := 0; i < inst.N; i++ {
-		e.member[i] = make([]int8, inst.Keywords)
 		e.genKw[i] = make([]int, inst.Keywords)
 	}
 
@@ -165,43 +190,12 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, gated boo
 		e.kwTr[q].Grow(2*inst.N + 64)
 	}
 
-	// Static per-slot click-probability lists and their sources.
-	e.wSorted = make([][]topk.Item, inst.Slots)
-	e.wSources = make([]*ta.SliceSource, inst.Slots)
-	e.bidSource = &logical.MergedSource{}
-	bidSrc := ta.Source(e.bidSource)
-	if gated {
-		bidSrc = &gateSource{inner: e.bidSource, gate: g}
+	for j := range e.lists {
+		e.lists[j] = make([]topk.Item, 0, k+1)
 	}
-	e.srcs = make([][]ta.Source, inst.Slots)
-	e.lists = make([][]topk.Item, inst.Slots)
-	for j := 0; j < inst.Slots; j++ {
-		items := make([]topk.Item, inst.N)
-		for i := 0; i < inst.N; i++ {
-			items[i] = topk.Item{ID: i, Score: inst.ClickProb[i][j]}
-		}
-		sort.Slice(items, func(a, b int) bool {
-			if items[a].Score != items[b].Score {
-				return items[a].Score > items[b].Score
-			}
-			return items[a].ID < items[b].ID
-		})
-		e.wSorted[j] = items
-		j := j
-		e.wSources[j] = &ta.SliceSource{
-			Items: items,
-			Get:   func(id int) float64 { return inst.ClickProb[id][j] },
-		}
-		e.srcs[j] = []ta.Source{e.wSources[j], bidSrc}
-		e.lists[j] = make([]topk.Item, 0, inst.Slots+1)
-	}
-	e.product = func(v []float64) float64 { return v[0] * v[1] }
+	n := inst.N
 	e.score = func(i, j int) float64 {
-		b := float64(e.bid(i, e.curQ))
-		if !e.gate.admits(i, b) {
-			return 0
-		}
-		return e.inst.ClickProb[i][j] * b
+		return e.cols[j*n+i] * e.gatedBid(i)
 	}
 
 	// Initial placement: zero spend against a positive target means
@@ -211,7 +205,7 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, gated boo
 		for q := 0; q < inst.Keywords; q++ {
 			bid := inst.InitialBid[i][q]
 			mode := bidMode(inst, acct, i, q, bid, statusUnder)
-			e.member[i][q] = int8(mode)
+			e.member[q][i] = int8(mode)
 			e.groups[q][mode].Insert(i, float64(bid))
 			e.registerCountTrigger(i, q, mode, bid, false)
 		}
@@ -222,7 +216,7 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, gated boo
 
 // bid returns advertiser i's current effective bid for keyword q.
 func (e *taluEngine) bid(i, q int) int {
-	eff, ok := e.groups[q][e.member[i][q]].Effective(i)
+	eff, ok := e.groups[q][e.member[q][i]].Effective(i)
 	if !ok {
 		panic("engine: bidder missing from its group")
 	}
@@ -269,7 +263,7 @@ func (e *taluEngine) recompute(i int, preAdjustKw int) {
 	e.recomputes++
 	status := spendStatus(e.acct.SpentTotal[i], e.t, e.inst.Target[i])
 	for q := 0; q < e.inst.Keywords; q++ {
-		old := int(e.member[i][q])
+		old := int(e.member[q][i])
 		eff, ok := e.groups[q][old].Effective(i)
 		if !ok {
 			panic("engine: bidder missing from its group during recompute")
@@ -284,7 +278,7 @@ func (e *taluEngine) recompute(i int, preAdjustKw int) {
 		}
 		e.genKw[i][q]++
 		e.groups[q][old].Remove(i)
-		e.member[i][q] = int8(mode)
+		e.member[q][i] = int8(mode)
 		e.groups[q][mode].Insert(i, float64(bid))
 		e.registerCountTrigger(i, q, mode, bid, q == preAdjustKw)
 	}
@@ -320,14 +314,14 @@ func (e *taluEngine) prepare(q int, t float64, ws *matching.Workspace, advOf []i
 	e.groups[q][modeInc].Adjust(1)
 	e.groups[q][modeDec].Adjust(-1)
 
-	// Threshold algorithm per slot: the static click-probability
-	// source rewinds, the merged bid source re-seeds onto this
-	// keyword's groups, and the runner fills the slot's reused list.
+	// Threshold algorithm per slot over one walk of the merged bid
+	// order, then winner determination through the same bid cache.
+	e.bidSource.Reset(e.groups[q])
+	e.prefix = e.prefix[:0]
+	e.auctionGen = nextStamp(e.auctionGen, e.bids)
 	k := e.inst.Slots
 	for j := 0; j < k; j++ {
-		e.wSources[j].Reset()
-		e.bidSource.Reset(e.groups[q])
-		e.lists[j], _ = e.runner.TopKInto(k+1, e.srcs[j], e.product, e.lists[j][:0])
+		e.lists[j], e.stats[j] = e.topSlot(j, k+1, e.lists[j])
 	}
 
 	ws.AssignCandidatesInto(e.score, e.lists, advOf)
@@ -345,27 +339,142 @@ func (e *taluEngine) afterAuction(t float64, clickedWinners []int) {
 	e.curQ = -1
 }
 
-// gateSource wraps the merged bid source with the market's gate:
-// random accesses for excluded advertisers (over budget, paced out, or
-// bidding below the reserve cutoff) return 0, so their aggregate score
-// is 0 and winner determination never assigns them. Sorted accesses
-// pass through unmodified — the threshold is computed from stored
-// bids, which over-approximates excluded advertisers' true scores and
-// therefore keeps the TA stopping rule sound: an unseen object's true
-// score never exceeds the frontier product. The wrapper is built once
-// per market; a consult is an array read and a compare, so the hot
-// path stays allocation-free.
-type gateSource struct {
-	inner ta.Source
-	gate  *gate
+// gatedBid returns advertiser i's effective bid for the in-flight
+// auction, or 0 when the gate excludes it — derived (and the gate
+// consulted) on the first use per auction, read from the cache after.
+// Effective bids are whole numbers (integer bids moved by ±1
+// adjustments), so this is exactly the rounded bid the explicit
+// engine gates and scores.
+func (e *taluEngine) gatedBid(i int) float64 {
+	c := &e.bids[i]
+	if c.stamp == e.auctionGen {
+		return c.bid
+	}
+	b, ok := e.groups[e.curQ][e.member[e.curQ][i]].Effective(i)
+	if !ok {
+		panic("engine: bidder missing from its group")
+	}
+	if !e.gate.admits(i, b) {
+		b = 0
+	}
+	*c = cachedBid{stamp: e.auctionGen, bid: b}
+	return b
 }
 
-func (g *gateSource) Next() (int, float64, bool) { return g.inner.Next() }
-
-func (g *gateSource) Lookup(id int) float64 {
-	v := g.inner.Lookup(id)
-	if !g.gate.admits(id, v) {
-		return 0
+// bidAt returns entry r of the auction's merged bid order, walking the
+// merged source only when no earlier slot run has read that deep;
+// ok is false past the end of the order.
+func (e *taluEngine) bidAt(r int) (topk.Item, bool) {
+	if r == len(e.prefix) {
+		id, v, ok := e.bidSource.Next()
+		if !ok {
+			return topk.Item{}, false
+		}
+		e.prefix = append(e.prefix, topk.Item{ID: id, Score: v})
 	}
-	return v
+	return e.prefix[r], true
+}
+
+// topSlot is ta.Runner.TopKInto specialised to slot j's two sources:
+// the click order and the shared bid prefix, scored click·bid. Round r
+// reads entry r of the click order, then entry r of the bid prefix
+// (see meet). After each round the run stops when it holds
+// depth items whose minimum reaches the frontier product — the same
+// access order, first-seen rule and stop rule as the runner, so the
+// list and the stats equal its. dst's backing array is reused.
+func (e *taluEngine) topSlot(j, depth int, dst []topk.Item) ([]topk.Item, ta.Stats) {
+	var st ta.Stats
+	n := e.inst.N
+	col := e.cols[j*n : (j+1)*n]
+	order := e.order[j]
+	e.runGen = nextStamp(e.runGen, e.seen)
+	gen := e.runGen
+	run := dst[:0]
+	// The frontiers stay 0 until a list's first sorted access and keep
+	// their last value once it is exhausted, as the runner's do.
+	var fClick, fBid float64
+	clickDone, bidDone := false, false
+	for r := 0; ; r++ {
+		progressed := false
+		if !clickDone {
+			if r < len(order) {
+				it := order[r]
+				st.SortedAccesses++
+				progressed = true
+				fClick = it.Score
+				run = e.meet(run, depth, col, it.ID, gen, &st)
+			} else {
+				clickDone = true
+			}
+		}
+		if !bidDone {
+			if it, ok := e.bidAt(r); ok {
+				st.SortedAccesses++
+				progressed = true
+				fBid = it.Score
+				run = e.meet(run, depth, col, it.ID, gen, &st)
+			} else {
+				bidDone = true
+			}
+		}
+		if !progressed || len(run) == depth && run[depth-1].Score >= fClick*fBid {
+			return run, st
+		}
+	}
+}
+
+// meet handles a sorted access to advertiser id in the slot run
+// stamped gen: the first time the run meets id, it is scored from the
+// slot's click column and the gated-bid cache (two random accesses)
+// and offered to the run.
+func (e *taluEngine) meet(run []topk.Item, depth int, col []float64, id int, gen uint32, st *ta.Stats) []topk.Item {
+	if e.seen[id] == gen {
+		return run
+	}
+	e.seen[id] = gen
+	st.Seen++
+	st.RandomAccesses += 2
+	return offerRun(run, depth, topk.Item{ID: id, Score: col[id] * e.gatedBid(id)})
+}
+
+// offerRun offers it to run, a list of at most depth items sorted by
+// descending score, ties by ascending id: it enters a full run iff it
+// precedes the minimum in that order, which then drops out. This is
+// topk.Heap.Offer's rule for ids arriving in any order — the
+// threshold algorithm meets them out of order, so a tie with the
+// minimum is decided by id, not by arrival.
+func offerRun(run []topk.Item, depth int, it topk.Item) []topk.Item {
+	p := len(run)
+	if p == depth {
+		if !precedes(it, run[p-1]) {
+			return run
+		}
+		p--
+	} else {
+		run = run[:p+1]
+	}
+	for p > 0 && precedes(it, run[p-1]) {
+		run[p] = run[p-1]
+		p--
+	}
+	run[p] = it
+	return run
+}
+
+// precedes is the candidate-list order: higher score first, ties by
+// ascending id.
+func precedes(a, b topk.Item) bool {
+	return a.Score > b.Score || a.Score == b.Score && a.ID < b.ID
+}
+
+// nextStamp advances a generation stamp; on wrap-around to 0 it clears
+// the stamped array and restarts at 1, so no stale mark can alias a
+// future generation.
+func nextStamp[T any](gen uint32, marks []T) uint32 {
+	gen++
+	if gen == 0 {
+		clear(marks)
+		gen = 1
+	}
+	return gen
 }

@@ -57,6 +57,12 @@ func (r *Runner) TopKInto(k int, sources []Source, f func(values []float64) floa
 		exhausted[t] = false
 	}
 	r.gen++
+	if r.gen == 0 {
+		// Wrapped: an id stamped 0 (never stamped) or stamped in the
+		// generation that last shared this value would read as seen.
+		clear(r.stamp)
+		r.gen = 1
+	}
 	gen := r.gen
 	if r.heap == nil || r.heapK != k {
 		r.heap = topk.NewHeap(k)

@@ -1,6 +1,7 @@
 package ta
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,6 +39,36 @@ func TestRunnerMatchesTopK(t *testing.T) {
 		}
 		if len(got) != len(want) {
 			t.Fatalf("round %d (k=%d): %d items, want %d", round, k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d (k=%d) item %d: runner %+v, TopK %+v", round, k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRunnerGenerationWrap: the runner's seen-stamp generation is a
+// uint32 bumped once per call; across its wrap-around the results
+// and stats must still equal TopK's — an id never stamped (stamp 0)
+// must not read as already seen when the generation comes back to 0.
+func TestRunnerGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	const n = 300
+	vals := make([][]float64, n)
+	for i := range vals {
+		vals[i] = []float64{rng.Float64(), float64(rng.Intn(50))}
+	}
+	sources := buildSources(vals)
+	r := NewRunner(n)
+	r.gen = math.MaxUint32 - 1
+	for round, k := range []int{1, 16, 1, 16} {
+		resetSources(sources)
+		want, wantStats := TopK(k, sources, product)
+		resetSources(sources)
+		got, gotStats := r.TopK(k, sources, product)
+		if gotStats != wantStats {
+			t.Fatalf("round %d (k=%d, gen %d): runner stats %+v, TopK stats %+v", round, k, r.gen, gotStats, wantStats)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -87,8 +118,7 @@ func TestRunnerTopKIntoReusesDst(t *testing.T) {
 }
 
 // TestRunnerSteadyStateAllocs: with stable k and reused dst, a
-// TopKInto call performs zero heap allocations — the per-slot cost
-// the §IV serving path pays k times per auction.
+// TopKInto call performs zero heap allocations.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")
