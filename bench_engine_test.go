@@ -37,8 +37,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 // BenchmarkEngineThroughputTALU is the shard sweep with the Section IV
 // method on the serving path: every keyword market maintains its
-// logical-update lists and trigger queues, and per-slot winners come
-// from the threshold algorithm.
+// logical-update lists, bid-level buckets and trigger queues, and
+// per-slot candidates come from the bid-level walk.
 func BenchmarkEngineThroughputTALU(b *testing.B) {
 	benchEngineThroughput(b, SimRHTALU)
 }
@@ -72,13 +72,13 @@ func BenchmarkMarketSteadyStateRH(b *testing.B) {
 
 // BenchmarkMarketSteadyStateTALU measures one sequential market's
 // steady-state auction under MethodRHTALU: trigger firings, O(1)
-// logical updates, per-slot threshold algorithm, workspace winner
-// determination, GSP pricing, and the winners' recomputes. Its
-// steady-state program evaluations are flat in n and its threshold
-// algorithm reads a sublinear share of the bid list, so its large-n
-// rows are expected to undercut BenchmarkMarketSteadyStateRH — a
-// figure to report, not a gate (TestTALUSteadyStateAllocs pins the
-// 0 allocs/op).
+// logical updates, per-slot walk of the bid-level buckets, workspace
+// winner determination, GSP pricing, and the winners' recomputes. Its
+// steady-state program evaluations are flat in n and each slot run
+// reads a few dozen bucket entries whatever n is
+// (TestTALULevelWalkCounts), so its large-n rows are expected to
+// undercut BenchmarkMarketSteadyStateRH — a figure to report, not a
+// gate (TestTALUSteadyStateAllocs pins the 0 allocs/op).
 func BenchmarkMarketSteadyStateTALU(b *testing.B) {
 	benchMarketSteadyState(b, SimRHTALU)
 }

@@ -27,11 +27,18 @@ func spendStatus(spentTotal float64, t float64, target int) int {
 
 // Accounting is the provider-maintained advertiser state (Section
 // II-B notes amounts spent, budgets, and per-keyword ROI are
-// maintained by the search provider for every program).
+// maintained by the search provider for every program). The fields
+// are written only through charge, which keeps the cached ROI range in
+// step with them.
 type Accounting struct {
 	SpentTotal []float64   // per advertiser
 	SpentKw    [][]float64 // per advertiser, keyword
 	GainedKw   [][]float64 // per advertiser, keyword
+
+	// roiMax[i] and roiMin[i] are the max and min smoothed ROI over
+	// advertiser i's keywords: every program evaluation reads them, and
+	// only a charge moves them.
+	roiMax, roiMin []float64
 }
 
 func newAccounting(n, keywords int) *Accounting {
@@ -39,10 +46,13 @@ func newAccounting(n, keywords int) *Accounting {
 		SpentTotal: make([]float64, n),
 		SpentKw:    make([][]float64, n),
 		GainedKw:   make([][]float64, n),
+		roiMax:     make([]float64, n),
+		roiMin:     make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		a.SpentKw[i] = make([]float64, keywords)
 		a.GainedKw[i] = make([]float64, keywords)
+		a.roiMax[i], a.roiMin[i] = 1, 1 // roi(0, 0) on every keyword
 	}
 	return a
 }
@@ -53,9 +63,23 @@ func (a *Accounting) ROIOf(i, q int) float64 {
 	return roi(a.GainedKw[i][q], a.SpentKw[i][q])
 }
 
+// charge records one click by advertiser i on keyword q, paid at price
+// and worth value to the advertiser, and refreshes i's ROI range.
+func (a *Accounting) charge(i, q int, price, value float64) {
+	a.SpentTotal[i] += price
+	a.SpentKw[i][q] += price
+	a.GainedKw[i][q] += value
+	a.roiMax[i], a.roiMin[i] = a.scanROI(i)
+}
+
 // roiRange returns the max and min smoothed ROI over advertiser i's
 // keywords.
 func (a *Accounting) roiRange(i int) (maxR, minR float64) {
+	return a.roiMax[i], a.roiMin[i]
+}
+
+// scanROI computes roiRange from the per-keyword statistics.
+func (a *Accounting) scanROI(i int) (maxR, minR float64) {
 	maxR, minR = a.ROIOf(i, 0), a.ROIOf(i, 0)
 	for q := 1; q < len(a.SpentKw[i]); q++ {
 		r := a.ROIOf(i, q)

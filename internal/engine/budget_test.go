@@ -102,8 +102,8 @@ func TestBudgetUnlimitedByteIdentical(t *testing.T) {
 
 // TestBudgetRHMatchesTALU: under budget enforcement the explicit and
 // TALU engines remain exactly equivalent — the explicit path gates by
-// zeroing effective bids, the TALU path gates lazily inside the
-// threshold algorithm, and both must produce identical outcomes (and
+// zeroing effective bids, the TALU path gates lazily inside its
+// bid-level walks, and both must produce identical outcomes (and
 // hence identical ledgers) over the same trace. Hard and paced.
 func TestBudgetRHMatchesTALU(t *testing.T) {
 	for _, pol := range []budget.Policy{budget.PolicyHard, budget.PolicyPaced} {

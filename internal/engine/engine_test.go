@@ -388,8 +388,8 @@ func TestRebuiltMarketSteadyStateAllocs(t *testing.T) {
 
 // TestTALUSteadyStateAllocs extends the zero-allocation guarantee to
 // the paper's own fast path: after warmup, a MethodRHTALU auction —
-// trigger firings, logical updates, per-slot threshold algorithm over
-// the persistent merged source, workspace winner determination,
+// trigger firings, logical updates, per-slot walks of the persistent
+// bid-level buckets (and their upkeep), workspace winner determination,
 // pricing, clicks, accounting, and the winners' recomputes (including
 // treap membership churn, recycled through the per-keyword node
 // pools) — must not allocate at all.

@@ -127,9 +127,7 @@ func (r *heavyReference) run(q int) *Outcome {
 		out.Clicked[j] = true
 		price := out.PricePerClick[j]
 		out.Revenue += price
-		r.acct.SpentTotal[i] += price
-		r.acct.SpentKw[i][q] += price
-		r.acct.GainedKw[i][q] += float64(inst.Value[i][q])
+		r.acct.charge(i, q, price, float64(inst.Value[i][q]))
 	}
 	return out
 }

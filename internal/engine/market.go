@@ -167,10 +167,10 @@ type MarketOpts struct {
 // once per instance and shared read-only by every market over it. cols
 // lays inst.ClickProb out slot-major, cols[j·n+i] = ClickProb[i][j],
 // so that a slot's scores are one contiguous column (MethodRH's
-// matching.Workspace.SelectDense and MethodRHTALU's random accesses);
+// matching.Workspace.SelectDense and MethodRHTALU's slot scores);
 // order[j] lists slot j's advertisers by descending click probability,
-// ties by ascending id — the static sorted list of MethodRHTALU's
-// threshold algorithm. Methods that read neither get the zero value.
+// ties by ascending id — the order MethodRHTALU's bid-level buckets
+// keep. Methods that read neither get the zero value.
 type clickData struct {
 	cols  []float64
 	order [][]topk.Item
@@ -428,7 +428,7 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 
 	if m.talu != nil {
 		// The §IV pipeline: trigger firings, logical updates, per-slot
-		// threshold algorithm, then winner determination in the
+		// bid-level walks, then winner determination in the
 		// market's workspace — writing straight into the reused
 		// outcome, zero allocations in steady state.
 		lists = m.talu.prepare(q, t, m.ws, out.AdvOf)
@@ -616,9 +616,7 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 		out.Clicked[j] = true
 		price := out.PricePerClick[j]
 		out.Revenue += price
-		m.acct.SpentTotal[i] += price
-		m.acct.SpentKw[i][q] += price
-		m.acct.GainedKw[i][q] += float64(m.Inst.Value[i][q])
+		m.acct.charge(i, q, price, float64(m.Inst.Value[i][q]))
 		if m.gate.lane != nil {
 			// Report the identical value the accounting recorded, so
 			// the lane's cumulative array stays bitwise equal to

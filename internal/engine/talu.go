@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/logical"
 	"repro/internal/matching"
-	"repro/internal/ta"
 	"repro/internal/topk"
 	"repro/internal/workload"
 )
@@ -32,28 +31,37 @@ import (
 // tags, so the per-auction maintenance cost is proportional to the
 // number of winners and due triggers, not to n.
 //
-// Threshold algorithm (Section IV-A). The per-slot top-(k+1) bidders
-// by clickProb·bid are found by Fagin's threshold algorithm over two
-// sorted sources — the static click-probability list for the slot and
-// the merged (increment ∪ decrement ∪ constant) bid lists — again
-// without touching most bidders. The k slot runs of one auction share
-// their work: the merged bid order is walked once, into a prefix every
-// run reads (it grows only when a run goes deeper than all earlier
-// ones), each advertiser's gated bid is derived once into a per-auction
-// cache, and the static click data (slot-major matrix and per-slot
-// sorted order) is built once per instance and shared by its markets.
+// Top bidders by bid level (Section IV-A). The paper finds each slot's
+// top-(k+1) bidders by clickProb·bid with the threshold algorithm over
+// two sorted lists the provider maintains: the slot's click
+// probabilities and the merged (increment ∪ decrement ∪ constant) bid
+// lists. Bids here are small integers and a slot's click probabilities
+// lie in one narrow band, so that walk reads deep into the top bid
+// level. The engine instead keeps the provider's lists bucketed by bid
+// level (levelBuckets): per slot and group, one bucket per stored bid
+// level, in click order. A slot run walks the levels in descending
+// effective bid, merging the three groups' buckets of a level in click
+// order. Within a level it stops at the first bidder scoring strictly
+// below the full run's minimum; below a level whose bid times the
+// slot's largest click probability is strictly below that minimum, it
+// stops altogether. Equal scores go on, so ties resolve by id exactly
+// as in a full sort: each list is the exact top-(k+1) over all n
+// bidders. Each advertiser's gated bid is derived once per auction
+// into a cache the slot runs and winner determination share, and the
+// static click data (slot-major matrix and per-slot sorted order) is
+// built once per instance and shared by its markets.
 //
 // Steady-state allocation discipline. Everything the per-auction path
-// touches is persistent: the merged source (Reset once per auction),
-// the bid prefix, the stamp arrays, the per-slot candidate list
-// backing arrays, the score closure, and the trigger queues
-// (index-based registrations, pre-grown). Group membership churn
-// recycles treap nodes through a per-keyword shared pool (a bidder
-// occupies exactly one of a keyword's three groups, so the pool never
-// grows after construction), and winner determination runs in the
-// caller's matching.Workspace. A steady-state auction therefore
-// performs zero heap allocations — the guarantee
-// TestTALUSteadyStateAllocs enforces.
+// touches is persistent: the level buckets (built on a keyword's first
+// auction; a bucket that outgrows its room moves within preallocated
+// arenas), the bid cache, the per-slot candidate list backing arrays,
+// the score closure, and the trigger queues (index-based
+// registrations, pre-grown). Group membership churn recycles treap
+// nodes through a per-keyword shared pool (a bidder occupies exactly
+// one of a keyword's three groups, so the pool never grows after
+// construction), and winner determination runs in the caller's
+// matching.Workspace. A steady-state auction therefore performs zero
+// heap allocations — the guarantee TestTALUSteadyStateAllocs enforces.
 type taluEngine struct {
 	inst *workload.Instance
 	acct *Accounting
@@ -61,16 +69,15 @@ type taluEngine struct {
 	// gate is the owning market's participation predicate (budget gate
 	// ∧ reserve cutoff). It is applied lazily, preserving Section IV's
 	// sublinearity: instead of scanning all n advertisers per auction,
-	// it is consulted once per auction for each advertiser the
-	// threshold algorithm actually touches (gatedBid), and excluded
-	// advertisers score 0 in both the selection and the
-	// winner-determination score. Sorted accesses still surface the
-	// stored bids, which keeps the TA threshold a valid upper bound
-	// (the gate only lowers true scores), so the algorithm remains
-	// correct and merely scans past excluded entries. Because the
-	// explicit engine applies the same predicate by zeroing effective
-	// bids while leaving bid *state* drifting, the two engines stay
-	// exactly equivalent under budgets and reserves.
+	// it is consulted once per auction for each advertiser a slot run
+	// actually touches (gatedBid), and excluded advertisers score 0 in
+	// both the selection and the winner-determination score. The level
+	// walk's stop rules read the ungated bid, an upper bound on the
+	// gated score, so they stay exact and the walk merely passes over
+	// excluded entries. Because the explicit engine applies the same
+	// predicate by zeroing effective bids while leaving bid *state*
+	// drifting, the two engines stay exactly equivalent under budgets
+	// and reserves.
 	gate *gate
 
 	// groups[q][mode] holds the bidders whose behavior for keyword q
@@ -96,30 +103,25 @@ type taluEngine struct {
 
 	// cols is the slot-major click matrix (cols[j·n+i] =
 	// ClickProb[i][j]) and order[j] slot j's advertisers by descending
-	// click probability, ties by ascending id — the static sorted lists
-	// the threshold algorithm reads, shared by every market over the
-	// instance (see clickData).
+	// click probability, ties by ascending id, shared by every market
+	// over the instance (see clickData). A keyword's level buckets are
+	// built from order.
 	cols  []float64
 	order [][]topk.Item
-	// bidSource is the one merged increment ∪ decrement ∪ constant
-	// view, re-seeded onto the auction keyword's groups once per
-	// auction; prefix holds the part of its order the slot runs have
-	// read so far, as (id, effective bid) pairs.
-	bidSource *logical.MergedSource
-	prefix    []topk.Item
+	// levels[q] is keyword q's bid-level buckets, nil until the first
+	// auction on q: an engine market serves one keyword and holds one
+	// set.
+	levels []*levelBuckets
 	// bids caches each advertiser's gated effective bid for the
 	// in-flight auction: bids[i] is valid iff its stamp equals
-	// auctionGen. seen[i] == runGen marks advertiser i as met by the
-	// current slot run. Both counters clear their array on wrap-around.
+	// auctionGen, which clears the array on wrap-around.
 	bids       []cachedBid
 	auctionGen uint32
-	seen       []uint32
-	runGen     uint32
-	// lists[j] is slot j's top-(k+1) candidate list and stats[j] the
-	// threshold-algorithm work that found it, both for the last
-	// auction; the lists' backing arrays are reused.
+	// lists[j] is slot j's top-(k+1) candidate list and walks[j] the
+	// level walk's work that found it, both for the last auction; the
+	// lists' backing arrays are reused.
 	lists [][]topk.Item
-	stats []ta.Stats
+	walks []walkStats
 	// score is the winner-determination weight clickProb·bid for the
 	// in-flight auction's keyword, read through the gated-bid cache —
 	// built once.
@@ -142,6 +144,12 @@ type cachedBid struct {
 	bid   float64
 }
 
+// walkStats is one slot run's work: the bucket entries it read and
+// the bid levels it read them from.
+type walkStats struct {
+	Touched, Levels int
+}
+
 // newTALUEngine builds the §IV engine over the market's gate and the
 // instance's shared click data (click.cols and click.order must be
 // set). The lane and the per-auction cutoff are read through g, so
@@ -149,24 +157,22 @@ type cachedBid struct {
 func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, click clickData) *taluEngine {
 	k := inst.Slots
 	e := &taluEngine{
-		inst:      inst,
-		acct:      acct,
-		gate:      g,
-		groups:    make([][]*logical.Group, inst.Keywords),
-		member:    make([][]int8, inst.Keywords),
-		genTime:   make([]int, inst.N),
-		genKw:     make([][]int, inst.N),
-		kwTr:      make([]logical.Triggers, inst.Keywords),
-		count:     make([]int, inst.Keywords),
-		cols:      click.cols,
-		order:     click.order,
-		bidSource: &logical.MergedSource{},
-		prefix:    make([]topk.Item, 0, inst.N),
-		bids:      make([]cachedBid, inst.N),
-		seen:      make([]uint32, inst.N),
-		lists:     make([][]topk.Item, k),
-		stats:     make([]ta.Stats, k),
-		curQ:      -1,
+		inst:    inst,
+		acct:    acct,
+		gate:    g,
+		groups:  make([][]*logical.Group, inst.Keywords),
+		member:  make([][]int8, inst.Keywords),
+		genTime: make([]int, inst.N),
+		genKw:   make([][]int, inst.N),
+		kwTr:    make([]logical.Triggers, inst.Keywords),
+		count:   make([]int, inst.Keywords),
+		cols:    click.cols,
+		order:   click.order,
+		levels:  make([]*levelBuckets, inst.Keywords),
+		bids:    make([]cachedBid, inst.N),
+		lists:   make([][]topk.Item, k),
+		walks:   make([]walkStats, k),
+		curQ:    -1,
 	}
 	var seed uint64 = 1
 	for q := 0; q < inst.Keywords; q++ {
@@ -194,8 +200,10 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, click cli
 		e.lists[j] = make([]topk.Item, 0, k+1)
 	}
 	n := inst.N
+	// Winner determination scores only list members, whose gated bids
+	// the slot runs cached.
 	e.score = func(i, j int) float64 {
-		return e.cols[j*n+i] * e.gatedBid(i)
+		return e.cols[j*n+i] * e.bids[i].bid
 	}
 
 	// Initial placement: zero spend against a positive target means
@@ -277,6 +285,11 @@ func (e *taluEngine) recompute(i int, preAdjustKw int) {
 			continue
 		}
 		e.genKw[i][q]++
+		if lb := e.levels[q]; lb != nil {
+			from := lb.bucket(old, bid, int(e.groups[q][old].Adjustment()))
+			to := lb.bucket(mode, bid, int(e.groups[q][mode].Adjustment()))
+			lb.move(i, from, to, e.cols)
+		}
 		e.groups[q][old].Remove(i)
 		e.member[q][i] = int8(mode)
 		e.groups[q][mode].Insert(i, float64(bid))
@@ -314,14 +327,29 @@ func (e *taluEngine) prepare(q int, t float64, ws *matching.Workspace, advOf []i
 	e.groups[q][modeInc].Adjust(1)
 	e.groups[q][modeDec].Adjust(-1)
 
-	// Threshold algorithm per slot over one walk of the merged bid
-	// order, then winner determination through the same bid cache.
-	e.bidSource.Reset(e.groups[q])
-	e.prefix = e.prefix[:0]
+	// One level walk per slot, then winner determination through the
+	// bid cache the walks filled.
+	lb := e.levels[q]
+	if lb == nil {
+		lb = newLevelBuckets(e.inst, q, e.groups[q], e.member[q], e.order)
+		e.levels[q] = lb
+	}
 	e.auctionGen = nextStamp(e.auctionGen, e.bids)
+	// shift[g] maps an effective level to group g's ring slot; top is
+	// the highest level any bucket occupies.
+	var shift [3]int
+	for g := range shift {
+		shift[g] = ring(-int(e.groups[q][g].Adjustment()), lb.width)
+	}
+	top := lb.width - 1
+	for ; top >= 0; top-- {
+		if lb.size[lb.at(0, top, shift)]+lb.size[lb.at(1, top, shift)]+lb.size[lb.at(2, top, shift)] > 0 {
+			break
+		}
+	}
 	k := e.inst.Slots
 	for j := 0; j < k; j++ {
-		e.lists[j], e.stats[j] = e.topSlot(j, k+1, e.lists[j])
+		e.lists[j], e.walks[j] = e.walkSlot(lb, j, k+1, top, shift, e.lists[j])
 	}
 
 	ws.AssignCandidatesInto(e.score, e.lists, advOf)
@@ -339,110 +367,80 @@ func (e *taluEngine) afterAuction(t float64, clickedWinners []int) {
 	e.curQ = -1
 }
 
-// gatedBid returns advertiser i's effective bid for the in-flight
-// auction, or 0 when the gate excludes it — derived (and the gate
-// consulted) on the first use per auction, read from the cache after.
+// gatedBid returns bid, advertiser i's effective bid in the in-flight
+// auction, or 0 when the gate excludes it — the gate is consulted on
+// the first use per auction and the result cached for the rest.
 // Effective bids are whole numbers (integer bids moved by ±1
-// adjustments), so this is exactly the rounded bid the explicit
-// engine gates and scores.
-func (e *taluEngine) gatedBid(i int) float64 {
+// adjustments), so this is exactly the rounded bid the explicit engine
+// gates and scores.
+func (e *taluEngine) gatedBid(i int, bid float64) float64 {
 	c := &e.bids[i]
-	if c.stamp == e.auctionGen {
-		return c.bid
-	}
-	b, ok := e.groups[e.curQ][e.member[e.curQ][i]].Effective(i)
-	if !ok {
-		panic("engine: bidder missing from its group")
-	}
-	if !e.gate.admits(i, b) {
-		b = 0
-	}
-	*c = cachedBid{stamp: e.auctionGen, bid: b}
-	return b
-}
-
-// bidAt returns entry r of the auction's merged bid order, walking the
-// merged source only when no earlier slot run has read that deep;
-// ok is false past the end of the order.
-func (e *taluEngine) bidAt(r int) (topk.Item, bool) {
-	if r == len(e.prefix) {
-		id, v, ok := e.bidSource.Next()
-		if !ok {
-			return topk.Item{}, false
+	if c.stamp != e.auctionGen {
+		if !e.gate.admits(i, bid) {
+			bid = 0
 		}
-		e.prefix = append(e.prefix, topk.Item{ID: id, Score: v})
+		*c = cachedBid{stamp: e.auctionGen, bid: bid}
 	}
-	return e.prefix[r], true
+	return c.bid
 }
 
-// topSlot is ta.Runner.TopKInto specialised to slot j's two sources:
-// the click order and the shared bid prefix, scored click·bid. Round r
-// reads entry r of the click order, then entry r of the bid prefix
-// (see meet). After each round the run stops when it holds
-// depth items whose minimum reaches the frontier product — the same
-// access order, first-seen rule and stop rule as the runner, so the
-// list and the stats equal its. dst's backing array is reused.
-func (e *taluEngine) topSlot(j, depth int, dst []topk.Item) ([]topk.Item, ta.Stats) {
-	var st ta.Stats
+// walkSlot fills dst (its backing array reused) with slot j's top-depth
+// advertisers by click·gated bid, in candidate-list order, walking
+// keyword buckets lb from level top down; shift maps levels to ring
+// slots. See taluEngine's Section IV-A paragraph for the stop rules.
+func (e *taluEngine) walkSlot(lb *levelBuckets, j, depth, top int, shift [3]int, dst []topk.Item) ([]topk.Item, walkStats) {
+	var st walkStats
+	run := dst[:0]
+	if top < 0 {
+		return run, st
+	}
 	n := e.inst.N
 	col := e.cols[j*n : (j+1)*n]
-	order := e.order[j]
-	e.runGen = nextStamp(e.runGen, e.seen)
-	gen := e.runGen
-	run := dst[:0]
-	// The frontiers stay 0 until a list's first sorted access and keep
-	// their last value once it is exhausted, as the runner's do.
-	var fClick, fBid float64
-	clickDone, bidDone := false, false
-	for r := 0; ; r++ {
-		progressed := false
-		if !clickDone {
-			if r < len(order) {
-				it := order[r]
-				st.SortedAccesses++
-				progressed = true
-				fClick = it.Score
-				run = e.meet(run, depth, col, it.ID, gen, &st)
-			} else {
-				clickDone = true
-			}
+	maxClick := e.order[j][0].Score
+	for level := top; level >= 0; level-- {
+		bid := float64(level)
+		if len(run) == depth && bid*maxClick < run[depth-1].Score {
+			break
 		}
-		if !bidDone {
-			if it, ok := e.bidAt(r); ok {
-				st.SortedAccesses++
-				progressed = true
-				fBid = it.Score
-				run = e.meet(run, depth, col, it.ID, gen, &st)
-			} else {
-				bidDone = true
-			}
+		var heads [3][]int32
+		for g := range heads {
+			heads[g] = lb.slot(j, lb.at(g, level, shift))
 		}
-		if !progressed || len(run) == depth && run[depth-1].Score >= fClick*fBid {
-			return run, st
+		touched := 0
+		for {
+			// The next member of the level in click order.
+			best, id := -1, 0
+			for g, h := range heads {
+				if len(h) > 0 {
+					if m := int(h[0]); best < 0 || col[m] > col[id] || col[m] == col[id] && m < id {
+						best, id = g, m
+					}
+				}
+			}
+			if best < 0 {
+				break
+			}
+			heads[best] = heads[best][1:]
+			touched++
+			if len(run) == depth && col[id]*bid < run[depth-1].Score {
+				break
+			}
+			run = offerRun(run, depth, topk.Item{ID: id, Score: col[id] * e.gatedBid(id, bid)})
+		}
+		if touched > 0 {
+			st.Touched += touched
+			st.Levels++
 		}
 	}
-}
-
-// meet handles a sorted access to advertiser id in the slot run
-// stamped gen: the first time the run meets id, it is scored from the
-// slot's click column and the gated-bid cache (two random accesses)
-// and offered to the run.
-func (e *taluEngine) meet(run []topk.Item, depth int, col []float64, id int, gen uint32, st *ta.Stats) []topk.Item {
-	if e.seen[id] == gen {
-		return run
-	}
-	e.seen[id] = gen
-	st.Seen++
-	st.RandomAccesses += 2
-	return offerRun(run, depth, topk.Item{ID: id, Score: col[id] * e.gatedBid(id)})
+	return run, st
 }
 
 // offerRun offers it to run, a list of at most depth items sorted by
 // descending score, ties by ascending id: it enters a full run iff it
 // precedes the minimum in that order, which then drops out. This is
-// topk.Heap.Offer's rule for ids arriving in any order — the
-// threshold algorithm meets them out of order, so a tie with the
-// minimum is decided by id, not by arrival.
+// topk.Heap.Offer's rule for ids arriving in any order — the level
+// walk meets them out of id order, so a tie with the minimum is
+// decided by id, not by arrival.
 func offerRun(run []topk.Item, depth int, it topk.Item) []topk.Item {
 	p := len(run)
 	if p == depth {
