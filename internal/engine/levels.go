@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/logical"
 	"repro/internal/topk"
 	"repro/internal/workload"
@@ -8,11 +10,14 @@ import (
 
 // levelBuckets is one keyword's bid lists, kept for integer bids: per
 // slot, one bucket per (logical-update group, stored bid level), each
-// holding its advertisers in the slot's click order (click probability
-// descending, ties by ascending id). A member's effective bid is its
+// holding its advertisers' ranks in the slot's click order (click
+// probability descending, ties by ascending id), ascending. A member's
+// effective bid is its
 // stored level plus its group's shared adjustment, so a logical update
-// moves no bucket; only a recompute that changes a bidder's group does,
-// by a binary search and a memmove per slot.
+// moves no bucket; only a bidder whose group changed moves, by a binary
+// search and a memmove per slot, when the keyword's next walk syncs. Ranks compare as plain
+// integers within one contiguous bucket, so neither the search nor the
+// walk reads the click matrix out of order.
 //
 // Effective bids stay in [0, width), so a group's occupied stored
 // levels are distinct modulo width and each group needs only a ring of
@@ -28,16 +33,23 @@ type levelBuckets struct {
 	k, n   int
 	width  int
 	stride int     // each slot's arena length
-	ids    []int32 // slot j's bucket b is ids[j·stride+off[b]:][:size[b]]
+	ranks  []int32 // slot j's bucket b is ranks[j·stride+off[b]:][:size[b]]
 
 	off, size, cap []int32
 	top            int32   // first arena entry past every bucket's capacity
 	scratch        []int32 // one arena's worth, for the repack
+	fill           []int32 // per bucket, for build
+
+	// where[i] is advertiser i's bucket as the arenas hold it; stale[i]
+	// marks an advertiser whose group changed since the last sync, and
+	// pending lists the marked advertisers.
+	where   []int32
+	stale   []bool
+	pending []int32
 }
 
-// newLevelBuckets builds keyword q's buckets from the groups as they
-// stand: each advertiser is placed by its group and stored level, and
-// each slot's buckets are filled in the slot's click order.
+// newLevelBuckets builds keyword q's buckets from its groups as they
+// stand (see build).
 func newLevelBuckets(inst *workload.Instance, q int, groups []*logical.Group, member []int8, order [][]topk.Item) *levelBuckets {
 	n, k := inst.N, inst.Slots
 	width := 1
@@ -49,33 +61,83 @@ func newLevelBuckets(inst *workload.Instance, q int, groups []*logical.Group, me
 		k: k, n: n, width: width,
 		// A repack gives bucket b size+size/4+2 entries, at most
 		// n + n/4 + 2·nb in all.
-		stride: n + n/2 + 3*nb,
-		off:    make([]int32, nb),
-		size:   make([]int32, nb),
-		cap:    make([]int32, nb),
+		stride:  n + n/2 + 3*nb,
+		off:     make([]int32, nb),
+		size:    make([]int32, nb),
+		cap:     make([]int32, nb),
+		fill:    make([]int32, nb),
+		where:   make([]int32, n),
+		stale:   make([]bool, n),
+		pending: make([]int32, 0, n),
 	}
-	lb.ids = make([]int32, k*lb.stride)
+	lb.ranks = make([]int32, k*lb.stride)
 	lb.scratch = make([]int32, lb.stride)
-	bucketOf := make([]int32, n)
-	for i := 0; i < n; i++ {
-		g := int(member[i])
-		eff, _ := groups[g].Effective(i)
-		b := lb.bucket(g, int(eff), int(groups[g].Adjustment()))
-		bucketOf[i] = b
+	lb.build(groups, member, order)
+	return lb
+}
+
+// build places every advertiser by its group and stored level and
+// fills each slot's buckets in the slot's click order.
+func (lb *levelBuckets) build(groups []*logical.Group, member []int8, order [][]topk.Item) {
+	clear(lb.size)
+	for i := range lb.where {
+		b := lb.bucketOf(groups, member, i)
+		lb.where[i] = b
 		lb.size[b]++
 	}
 	lb.layout()
-	fill := make([]int32, nb)
-	for j := 0; j < k; j++ {
+	for j := 0; j < lb.k; j++ {
 		arena := lb.arena(j)
-		clear(fill)
-		for _, it := range order[j] {
-			b := bucketOf[it.ID]
-			arena[lb.off[b]+fill[b]] = int32(it.ID)
-			fill[b]++
+		clear(lb.fill)
+		for r, it := range order[j] {
+			b := lb.where[it.ID]
+			arena[lb.off[b]+lb.fill[b]] = int32(r)
+			lb.fill[b]++
 		}
 	}
-	return lb
+}
+
+// markStale records that advertiser i's group changed; the buckets
+// catch up at the next sync.
+func (lb *levelBuckets) markStale(i int) {
+	if !lb.stale[i] {
+		lb.stale[i] = true
+		lb.pending = append(lb.pending, int32(i))
+	}
+}
+
+// sync brings the buckets up to date with the groups before a walk: it
+// moves each stale advertiser whose bucket changed, or builds afresh
+// when more than n/rebuildShare are stale — a build touches k·n
+// entries, a move k buckets. A bidder whose group changed and changed
+// back since the last sync costs nothing.
+func (lb *levelBuckets) sync(groups []*logical.Group, member []int8, order [][]topk.Item, rank []int32) {
+	if len(lb.pending)*rebuildShare > lb.n {
+		lb.build(groups, member, order)
+	} else {
+		for _, i := range lb.pending {
+			if to := lb.bucketOf(groups, member, int(i)); to != lb.where[i] {
+				lb.move(int(i), lb.where[i], to, rank)
+				lb.where[i] = to
+			}
+		}
+	}
+	for _, i := range lb.pending {
+		lb.stale[i] = false
+	}
+	lb.pending = lb.pending[:0]
+}
+
+const rebuildShare = 32
+
+// bucketOf returns the bucket advertiser i belongs in now.
+func (lb *levelBuckets) bucketOf(groups []*logical.Group, member []int8, i int) int32 {
+	g := int(member[i])
+	eff, ok := groups[g].Effective(i)
+	if !ok {
+		panic("engine: bidder missing from its group")
+	}
+	return lb.bucket(g, int(eff), int(groups[g].Adjustment()))
 }
 
 // bucket returns the bucket of a member of group g whose effective bid
@@ -97,54 +159,36 @@ func ring(x, w int) int {
 }
 
 func (lb *levelBuckets) arena(j int) []int32 {
-	return lb.ids[j*lb.stride : (j+1)*lb.stride]
+	return lb.ranks[j*lb.stride : (j+1)*lb.stride]
 }
 
-// slot returns bucket b's members in slot j's click order.
+// slot returns bucket b's members' slot-j click ranks, ascending.
 func (lb *levelBuckets) slot(j int, b int32) []int32 {
-	return lb.ids[j*lb.stride+int(lb.off[b]):][:lb.size[b]]
+	return lb.ranks[j*lb.stride+int(lb.off[b]):][:lb.size[b]]
 }
 
 // move takes advertiser id from bucket from to bucket to in every
-// slot, keeping each slot's click order; cols is the slot-major click
-// matrix the order is read from.
-func (lb *levelBuckets) move(id int, from, to int32, cols []float64) {
+// slot; rank is the slot-major click-rank matrix (see clickData).
+func (lb *levelBuckets) move(id int, from, to int32, rank []int32) {
 	if lb.size[to] == lb.cap[to] {
 		lb.grow(to)
 	}
 	for j := 0; j < lb.k; j++ {
-		col := cols[j*lb.n : (j+1)*lb.n]
+		r := rank[j*lb.n+id]
 		src := lb.slot(j, from)
-		p := clickSearch(src, col, id)
-		if p == len(src) || int(src[p]) != id {
+		p, found := slices.BinarySearch(src, r)
+		if !found {
 			panic("engine: bidder missing from its level bucket")
 		}
 		copy(src[p:], src[p+1:])
 		dst := lb.slot(j, to)
-		p = clickSearch(dst, col, id)
+		p, _ = slices.BinarySearch(dst, r)
 		dst = dst[:len(dst)+1]
 		copy(dst[p+1:], dst[p:])
-		dst[p] = int32(id)
+		dst[p] = r
 	}
 	lb.size[from]--
 	lb.size[to]++
-}
-
-// clickSearch returns the first position in s, a bucket in click
-// order, whose member does not precede id in that order.
-func clickSearch(s []int32, col []float64, id int) int {
-	c := col[id]
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		m := int(s[mid])
-		if col[m] > c || col[m] == c && m < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // grow makes room for one more member in the full bucket b.

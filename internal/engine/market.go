@@ -170,10 +170,12 @@ type MarketOpts struct {
 // matching.Workspace.SelectDense and MethodRHTALU's slot scores);
 // order[j] lists slot j's advertisers by descending click probability,
 // ties by ascending id — the order MethodRHTALU's bid-level buckets
-// keep. Methods that read neither get the zero value.
+// keep — and rank[j·n+i] is advertiser i's position in order[j].
+// Methods that read none of them get the zero value.
 type clickData struct {
 	cols  []float64
 	order [][]topk.Item
+	rank  []int32
 }
 
 func newClickData(inst *workload.Instance, method Method) clickData {
@@ -191,6 +193,7 @@ func newClickData(inst *workload.Instance, method Method) clickData {
 		return clickData{cols: cols}
 	}
 	order := make([][]topk.Item, inst.Slots)
+	rank := make([]int32, inst.Slots*n)
 	for j := range order {
 		items := make([]topk.Item, n)
 		for i, p := range cols[j*n : (j+1)*n] {
@@ -203,8 +206,11 @@ func newClickData(inst *workload.Instance, method Method) clickData {
 			return a.ID - b.ID
 		})
 		order[j] = items
+		for r, it := range items {
+			rank[j*n+it.ID] = int32(r)
+		}
 	}
-	return clickData{cols: cols, order: order}
+	return clickData{cols: cols, order: order, rank: rank}
 }
 
 // NewMarketOpts builds a fresh market. Two markets with equal

@@ -101,13 +101,12 @@ type taluEngine struct {
 	kwTr   []logical.Triggers // keyed on per-keyword auction counts
 	count  []int              // per-keyword auction counters
 
-	// cols is the slot-major click matrix (cols[j·n+i] =
-	// ClickProb[i][j]) and order[j] slot j's advertisers by descending
-	// click probability, ties by ascending id, shared by every market
-	// over the instance (see clickData). A keyword's level buckets are
-	// built from order.
+	// cols, order and rank are the instance's click data, shared by
+	// every market over it (see clickData): the bucket build reads
+	// order, bucket upkeep rank, and the slot runs order[j] by rank.
 	cols  []float64
 	order [][]topk.Item
+	rank  []int32
 	// levels[q] is keyword q's bid-level buckets, nil until the first
 	// auction on q: an engine market serves one keyword and holds one
 	// set.
@@ -168,6 +167,7 @@ func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, click cli
 		count:   make([]int, inst.Keywords),
 		cols:    click.cols,
 		order:   click.order,
+		rank:    click.rank,
 		levels:  make([]*levelBuckets, inst.Keywords),
 		bids:    make([]cachedBid, inst.N),
 		lists:   make([][]topk.Item, k),
@@ -286,9 +286,7 @@ func (e *taluEngine) recompute(i int, preAdjustKw int) {
 		}
 		e.genKw[i][q]++
 		if lb := e.levels[q]; lb != nil {
-			from := lb.bucket(old, bid, int(e.groups[q][old].Adjustment()))
-			to := lb.bucket(mode, bid, int(e.groups[q][mode].Adjustment()))
-			lb.move(i, from, to, e.cols)
+			lb.markStale(i)
 		}
 		e.groups[q][old].Remove(i)
 		e.member[q][i] = int8(mode)
@@ -333,6 +331,8 @@ func (e *taluEngine) prepare(q int, t float64, ws *matching.Workspace, advOf []i
 	if lb == nil {
 		lb = newLevelBuckets(e.inst, q, e.groups[q], e.member[q], e.order)
 		e.levels[q] = lb
+	} else {
+		lb.sync(e.groups[q], e.member[q], e.order, e.rank)
 	}
 	e.auctionGen = nextStamp(e.auctionGen, e.bids)
 	// shift[g] maps an effective level to group g's ring slot; top is
@@ -394,9 +394,8 @@ func (e *taluEngine) walkSlot(lb *levelBuckets, j, depth, top int, shift [3]int,
 	if top < 0 {
 		return run, st
 	}
-	n := e.inst.N
-	col := e.cols[j*n : (j+1)*n]
-	maxClick := e.order[j][0].Score
+	order := e.order[j]
+	maxClick := order[0].Score
 	for level := top; level >= 0; level-- {
 		bid := float64(level)
 		if len(run) == depth && bid*maxClick < run[depth-1].Score {
@@ -408,24 +407,23 @@ func (e *taluEngine) walkSlot(lb *levelBuckets, j, depth, top int, shift [3]int,
 		}
 		touched := 0
 		for {
-			// The next member of the level in click order.
-			best, id := -1, 0
+			// The level's next member in click order: the least rank.
+			best := -1
 			for g, h := range heads {
-				if len(h) > 0 {
-					if m := int(h[0]); best < 0 || col[m] > col[id] || col[m] == col[id] && m < id {
-						best, id = g, m
-					}
+				if len(h) > 0 && (best < 0 || h[0] < heads[best][0]) {
+					best = g
 				}
 			}
 			if best < 0 {
 				break
 			}
+			it := order[heads[best][0]]
 			heads[best] = heads[best][1:]
 			touched++
-			if len(run) == depth && col[id]*bid < run[depth-1].Score {
+			if len(run) == depth && it.Score*bid < run[depth-1].Score {
 				break
 			}
-			run = offerRun(run, depth, topk.Item{ID: id, Score: col[id] * e.gatedBid(id, bid)})
+			run = offerRun(run, depth, topk.Item{ID: it.ID, Score: it.Score * e.gatedBid(it.ID, bid)})
 		}
 		if touched > 0 {
 			st.Touched += touched
