@@ -12,10 +12,10 @@ import (
 // slot, one bucket per (logical-update group, stored bid level), each
 // holding its advertisers' ranks in the slot's click order (click
 // probability descending, ties by ascending id), ascending. A member's
-// effective bid is its
-// stored level plus its group's shared adjustment, so a logical update
-// moves no bucket; only a bidder whose group changed moves, by a binary
-// search and a memmove per slot, when the keyword's next walk syncs. Ranks compare as plain
+// effective bid is its stored level plus its group's shared
+// adjustment, so a logical update moves no bucket. A bidder whose group
+// changed moves, by a binary search and a memmove per slot, when the
+// keyword's next auction syncs the buckets. Ranks compare as plain
 // integers within one contiguous bucket, so neither the search nor the
 // walk reads the click matrix out of order.
 //
@@ -233,6 +233,21 @@ func (lb *levelBuckets) layout() {
 
 // slack is the capacity a repack gives a bucket of sz members.
 func slack(sz int32) int32 { return sz + sz/4 + 2 }
+
+// view returns, for the groups' current adjustments, each group's ring
+// shift (shift[g] maps an effective level to group g's ring slot, see
+// at) and the highest level any bucket occupies (−1 when none does).
+func (lb *levelBuckets) view(groups []*logical.Group) (shift [3]int, top int) {
+	for g := range shift {
+		shift[g] = ring(-int(groups[g].Adjustment()), lb.width)
+	}
+	for top = lb.width - 1; top >= 0; top-- {
+		if lb.size[lb.at(0, top, shift)]+lb.size[lb.at(1, top, shift)]+lb.size[lb.at(2, top, shift)] > 0 {
+			break
+		}
+	}
+	return shift, top
+}
 
 // at returns group g's bucket for effective level under the ring
 // shifts shift (shift[g] = −adjustment mod width).

@@ -48,8 +48,8 @@ import (
 // as in a full sort: each list is the exact top-(k+1) over all n
 // bidders. Each advertiser's gated bid is derived once per auction
 // into a cache the slot runs and winner determination share, and the
-// static click data (slot-major matrix and per-slot sorted order) is
-// built once per instance and shared by its markets.
+// static click data (slot-major matrix, per-slot sorted order and
+// click ranks) is built once per instance and shared by its markets.
 //
 // Steady-state allocation discipline. Everything the per-auction path
 // touches is persistent: the level buckets (built on a keyword's first
@@ -150,8 +150,8 @@ type walkStats struct {
 }
 
 // newTALUEngine builds the §IV engine over the market's gate and the
-// instance's shared click data (click.cols and click.order must be
-// set). The lane and the per-auction cutoff are read through g, so
+// instance's shared click data (click.cols, click.order and
+// click.rank must be set). The lane and the per-auction cutoff are read through g, so
 // Market.SetLane and RunWeighted need not tell the engine.
 func newTALUEngine(inst *workload.Instance, acct *Accounting, g *gate, click clickData) *taluEngine {
 	k := inst.Slots
@@ -335,18 +335,7 @@ func (e *taluEngine) prepare(q int, t float64, ws *matching.Workspace, advOf []i
 		lb.sync(e.groups[q], e.member[q], e.order, e.rank)
 	}
 	e.auctionGen = nextStamp(e.auctionGen, e.bids)
-	// shift[g] maps an effective level to group g's ring slot; top is
-	// the highest level any bucket occupies.
-	var shift [3]int
-	for g := range shift {
-		shift[g] = ring(-int(e.groups[q][g].Adjustment()), lb.width)
-	}
-	top := lb.width - 1
-	for ; top >= 0; top-- {
-		if lb.size[lb.at(0, top, shift)]+lb.size[lb.at(1, top, shift)]+lb.size[lb.at(2, top, shift)] > 0 {
-			break
-		}
-	}
+	shift, top := lb.view(e.groups[q])
 	k := e.inst.Slots
 	for j := 0; j < k; j++ {
 		e.lists[j], e.walks[j] = e.walkSlot(lb, j, k+1, top, shift, e.lists[j])
