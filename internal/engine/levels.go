@@ -109,8 +109,8 @@ func (lb *levelBuckets) markStale(i int) {
 // sync brings the buckets up to date with the groups before a walk: it
 // moves each stale advertiser whose bucket changed, or builds afresh
 // when more than n/rebuildShare are stale — a build touches k·n
-// entries, a move k buckets. A bidder whose group changed and changed
-// back since the last sync costs nothing.
+// entries, a move k buckets. A stale bidder found back in its old
+// bucket costs nothing.
 func (lb *levelBuckets) sync(groups []*logical.Group, member []int8, order [][]topk.Item, rank []int32) {
 	if len(lb.pending)*rebuildShare > lb.n {
 		lb.build(groups, member, order)
@@ -128,6 +128,9 @@ func (lb *levelBuckets) sync(groups []*logical.Group, member []int8, order [][]t
 	lb.pending = lb.pending[:0]
 }
 
+// rebuildShare = 32 beat moves alone on a fresh n = 20 000 market's
+// first 1 000 auctions, where most bidders change group (≈ 1.0–1.2 vs
+// 1.2–1.6 ms per auction on a 2-vCPU host).
 const rebuildShare = 32
 
 // bucketOf returns the bucket advertiser i belongs in now.
