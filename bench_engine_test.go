@@ -63,7 +63,9 @@ func benchEngineThroughput(b *testing.B, method SimMethod) {
 }
 
 // BenchmarkMarketSteadyStateRH measures one sequential market's
-// steady-state auction under MethodRH — winner determination, GSP
+// steady-state auction under MethodRH — the explicit program step,
+// per-slot selection over the bidders that reach the keyword's seeded
+// floors (TestRHSurvivorCounts), the gathered reduced assignment, GSP
 // pricing and accounting on the allocation-free serving hot path
 // (TestMarketSteadyStateAllocs pins the 0 allocs/op).
 func BenchmarkMarketSteadyStateRH(b *testing.B) {

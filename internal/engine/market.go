@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -69,6 +70,17 @@ type Market struct {
 	// click is the instance's static click data the RH and RHTALU
 	// selection read (zero under every other method).
 	click clickData
+
+	// MethodRH's floor seeds (selectRH): seeds[q] holds the ids of
+	// keyword q's last k per-slot lists, slot-major k × (k+1), nil
+	// before the keyword's first auction and empty after one whose
+	// lists came up short. floor and surv are the in-flight auction's
+	// per-slot score floors and survivor ids; survivors counts the
+	// bidders the last selection walked (n on the full path).
+	seeds     [][]int32
+	floor     []float64
+	surv      []int32
+	survivors int
 
 	// GSP pricing scratch: assignedMark[i] == assignedStamp iff
 	// advertiser i holds a slot in the current auction (the stamp
@@ -171,9 +183,11 @@ type MarketOpts struct {
 // order[j] lists slot j's advertisers by descending click probability,
 // ties by ascending id — the order MethodRHTALU's bid-level buckets
 // keep — and rank[j·n+i] is advertiser i's position in order[j].
-// Methods that read none of them get the zero value.
+// cmax[j] is slot j's largest click probability (MethodRH's survivor
+// bound). Methods that read none of them get the zero value.
 type clickData struct {
 	cols  []float64
+	cmax  []float64
 	order [][]topk.Item
 	rank  []int32
 }
@@ -190,7 +204,11 @@ func newClickData(inst *workload.Instance, method Method) clickData {
 		}
 	}
 	if method == MethodRH {
-		return clickData{cols: cols}
+		cmax := make([]float64, inst.Slots)
+		for j := range cmax {
+			cmax[j] = slices.Max(cols[j*n : (j+1)*n])
+		}
+		return clickData{cols: cols, cmax: cmax}
 	}
 	order := make([][]topk.Item, inst.Slots)
 	rank := make([]int32, inst.Slots*n)
@@ -242,6 +260,11 @@ func NewMarketOpts(inst *workload.Instance, o MarketOpts) *Market {
 	}
 	m.ws = matching.NewWorkspace()
 	m.bidf = make([]float64, inst.N)
+	if method == MethodRH {
+		m.seeds = make([][]int32, inst.Keywords)
+		m.floor = make([]float64, inst.Slots)
+		m.surv = make([]int32, 0, inst.N)
+	}
 	m.weightFn = func(i, j int) float64 {
 		return m.Inst.ClickProb[i][j] * m.bidf[i]
 	}
@@ -463,10 +486,11 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 				lists = m.ws.SelectCandidates(m.Inst.N, k, k+1, m.heavy.scoreFn)
 			}
 		case MethodRH:
-			// The scalable serving path: dense top-(k+1) selection over
-			// the slot-major click matrix and reduced assignment, zero
-			// allocations in steady state.
-			lists = m.ws.SelectDense(m.Inst.N, k, k+1, m.click.cols, m.bidf)
+			// The scalable serving path: top-(k+1) selection over the
+			// slot-major click matrix, walking only the bidders that
+			// can still place, and reduced assignment, zero allocations
+			// in steady state.
+			lists = m.selectRH(q)
 			m.ws.AssignCandidatesInto(score, lists, out.AdvOf)
 			advOf = out.AdvOf
 		case MethodRHParallel:
@@ -645,4 +669,85 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 		m.tracer.Ring.Append(&ev)
 	}
 	return out
+}
+
+// selectRH is MethodRH's per-slot top-(k+1) selection on keyword q
+// over the gated bids in bidf. Keyword q's last lists seed a floor:
+// slot j's k+1 seed ids are k+1 distinct current bidders, so the
+// smallest of their current scores, floor[j], is at most slot j's
+// (k+1)-th best score. A bidder scores at most cmax[j]·bid in slot j,
+// and bids are integer levels, so one bidding below every slot's
+// least level v with cmax[j]·v ≥ floor[j] reaches no floor and is
+// skipped; the survivors' runs (SelectDenseOver) equal the full
+// walk's lists. Without usable seeds — the keyword's first auction,
+// short lists, an id ≥ n — or with a floor ≤ 0, every bidder survives
+// and the full SelectDense walk runs.
+func (m *Market) selectRH(q int) [][]topk.Item {
+	n, k := m.Inst.N, m.Inst.Slots
+	depth := k + 1
+	var lists [][]topk.Item
+	if vmin, ok := m.rhFloors(m.seeds[q], n, depth); ok {
+		surv := m.surv[:0]
+		for i, b := range m.bidf {
+			if b >= vmin {
+				surv = append(surv, int32(i))
+			}
+		}
+		m.surv, m.survivors = surv, len(surv)
+		lists = m.ws.SelectDenseOver(n, k, depth, m.click.cols, m.bidf, surv, m.floor)
+	} else {
+		m.survivors = n
+		lists = m.ws.SelectDense(n, k, depth, m.click.cols, m.bidf)
+	}
+	seeds := m.seeds[q][:0]
+	if seeds == nil {
+		seeds = make([]int32, 0, k*depth)
+	}
+	for _, l := range lists {
+		if len(l) < depth {
+			seeds = seeds[:0]
+			break
+		}
+		for _, it := range l {
+			seeds = append(seeds, int32(it.ID))
+		}
+	}
+	m.seeds[q] = seeds
+	return lists
+}
+
+// rhFloors sets floor[j] to the least current score of slot j's seed
+// ids and returns the least bid level that reaches some slot's floor;
+// ok is false when the seeds give no bound.
+func (m *Market) rhFloors(seeds []int32, n, depth int) (vmin float64, ok bool) {
+	if len(seeds) != len(m.floor)*depth {
+		return 0, false
+	}
+	vmin = math.Inf(1)
+	for j := range m.floor {
+		col := m.click.cols[j*n : (j+1)*n]
+		lo := math.Inf(1)
+		for _, i := range seeds[j*depth : (j+1)*depth] {
+			if int(i) >= n {
+				return 0, false
+			}
+			lo = min(lo, col[i]*m.bidf[i])
+		}
+		if lo <= 0 {
+			return 0, false
+		}
+		m.floor[j] = lo
+		// The least integer v with c·v ≥ lo (c > 0, since some seed
+		// scores lo > 0): the quotient's ceiling, corrected for rounding.
+		c := m.click.cmax[j]
+		v := math.Ceil(lo / c)
+		for v > 0 && c*(v-1) >= lo {
+			v--
+		}
+		for c*v < lo {
+			v++
+		}
+		vmin = min(vmin, v)
+	}
+	return vmin, true
 }

@@ -21,9 +21,9 @@ package matching
 //   - the reduced solve (method RH) runs rows = slots over the ≤ k²
 //     candidates, giving the O(k⁵)-bounded tail of Section III-E.
 //
-// The solver body lives on Workspace.assignRows (workspace.go) so the
-// serving engine can run it allocation-free; this wrapper serves the
-// one-shot callers.
+// The solver body lives on Workspace.solveRows (workspace.go), over a
+// cost matrix gathered once per solve, so the serving engine can run
+// it allocation-free; this wrapper serves the one-shot callers.
 func assignRows(nr, nc int, weight func(r, c int) float64) []int {
 	return NewWorkspace().assignRows(nr, nc, weight)
 }

@@ -2,8 +2,8 @@ package matching
 
 import "repro/internal/topk"
 
-// topRun is the one per-slot top-depth kernel behind both selection
-// entry points. It walks the column once, scoring advertiser i as
+// topRun is the full per-slot top-depth kernel behind SelectDense and
+// SelectCandidates. It walks the column once, scoring advertiser i as
 // col[i]·bid[i], and keeps a sorted run of at most depth items in
 // dst's backing array: descending score, ascending id on ties. Ids
 // ascend during the walk, so a newcomer goes after every retained item
@@ -38,6 +38,38 @@ func topRun(dst []topk.Item, depth int, col, bid []float64) []topk.Item {
 	return run
 }
 
+// topRunOver is topRun's kernel walking only the ascending candidate
+// ids, given a lower bound lo on the column's depth-th best score: the
+// run fills only with scores ≥ lo (ties at the bound must enter), and
+// once full the strict-greater rule applies as in topRun. Every
+// advertiser of the full column's top depth scores ≥ lo, so when ids
+// holds all of them the run equals topRun's over the whole column.
+func topRunOver(dst []topk.Item, depth int, col, bid []float64, ids []int32, lo float64) []topk.Item {
+	if cap(dst) < depth {
+		dst = make([]topk.Item, depth)
+	}
+	run := dst[:depth]
+	l, x := 0, 0
+	for ; l < depth && x < len(ids); x++ {
+		i := ids[x]
+		if s := col[i] * bid[i]; s >= lo {
+			insertRun(run, l, topk.Item{ID: int(i), Score: s})
+			l++
+		}
+	}
+	if l < depth {
+		return run[:l]
+	}
+	floor := run[depth-1].Score
+	for _, i := range ids[x:] {
+		if s := col[i] * bid[i]; s > floor {
+			insertRun(run, depth-1, topk.Item{ID: int(i), Score: s})
+			floor = run[depth-1].Score
+		}
+	}
+	return run
+}
+
 // insertRun places it into the sorted prefix run[:p], shifting lower
 // scores right into run[p]; it lands after every item of equal score.
 func insertRun(run []topk.Item, p int, it topk.Item) {
@@ -64,17 +96,34 @@ func (ws *Workspace) listsFor(k, depth int) [][]topk.Item {
 // SelectDense fills per-slot top-depth candidate lists for n
 // advertisers scored cp[j·n+i]·bid[i], where cp is the slot-major
 // click-probability matrix (column j is slot j's n probabilities) and
-// bid holds at least n bids. It is the serving RH path's selection:
-// the product is formed inside the kernel walk, with no closure call
-// or row-pointer chase per candidate. Lists are ordered by descending
-// score, ascending id on ties, identical to SelectCandidates over the
-// weight cp[j·n+i]·bid[i]; they live in workspace storage, valid until
-// the next selection or MaxWeightReduced call on ws.
+// bid holds at least n bids. The product is formed inside the kernel
+// walk, with no closure call or row-pointer chase per candidate.
+// Lists are ordered by descending score, ascending id on ties,
+// identical to SelectCandidates over the weight cp[j·n+i]·bid[i]; they
+// live in workspace storage, valid until the next selection or
+// MaxWeightReduced call on ws. An RH market takes this full walk only
+// when it has no floor for the keyword (see SelectDenseOver).
 func (ws *Workspace) SelectDense(n, k, depth int, cp, bid []float64) [][]topk.Item {
 	lists := ws.listsFor(k, depth)
 	bid = bid[:n]
 	for j := range lists {
 		lists[j] = topRun(lists[j], depth, cp[j*n:(j+1)*n], bid)
+	}
+	return lists
+}
+
+// SelectDenseOver is SelectDense restricted to the candidates ids
+// (ascending, distinct, each < n), given per-slot lower bounds:
+// floor[j] must not exceed slot j's depth-th best score over all n
+// advertisers, and for every slot j, ids must hold each advertiser
+// whose slot-j score is ≥ floor[j]. Slot j's run admits only scores
+// ≥ floor[j] until it is full, and the lists equal SelectDense's. It
+// is the RH market's seeded selection; the caller proves both bounds.
+func (ws *Workspace) SelectDenseOver(n, k, depth int, cp, bid []float64, ids []int32, floor []float64) [][]topk.Item {
+	lists := ws.listsFor(k, depth)
+	bid = bid[:n]
+	for j := range lists {
+		lists[j] = topRunOver(lists[j], depth, cp[j*n:(j+1)*n], bid, ids, floor[j])
 	}
 	return lists
 }

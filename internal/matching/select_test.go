@@ -2,6 +2,7 @@ package matching
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -91,10 +92,12 @@ func randomCase(rng *rand.Rand, kind int) selectCase {
 }
 
 // TestDenseMatchesClosureAndOracle: the dense entry, the closure entry
-// (which gathers into the same kernel), the bounded heap it replaced
-// (topk.SelectInto) and a sort-based oracle must produce identical
-// lists, including on tie-heavy and degenerate inputs. One workspace
-// serves every trial, so shape changes exercise the reuse paths.
+// (which gathers into the same kernel), the seeded entry over the
+// advertisers reaching each slot's depth-th best score, the bounded
+// heap it replaced (topk.SelectInto) and a sort-based oracle must
+// produce identical lists, including on tie-heavy and degenerate
+// inputs. One workspace serves every trial, so shape changes exercise
+// the reuse paths.
 func TestDenseMatchesClosureAndOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	ws := NewWorkspace()
@@ -116,6 +119,28 @@ func TestDenseMatchesClosureAndOracle(t *testing.T) {
 		}
 		if got := ws.SelectCandidates(c.n, c.k, c.depth, weight); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: closure %v, oracle %v", tag, got, want)
+		}
+		// The seeded entry at its tightest bounds: each slot's floor is
+		// its depth-th best score (ties at the floor must enter), and
+		// the ids are exactly the advertisers reaching some floor.
+		floor := make([]float64, c.k)
+		for j := range floor {
+			floor[j] = math.Inf(-1)
+			if len(want[j]) == c.depth {
+				floor[j] = want[j][c.depth-1].Score
+			}
+		}
+		var ids []int32
+		for i := 0; i < c.n; i++ {
+			for j := range floor {
+				if weight(i, j) >= floor[j] {
+					ids = append(ids, int32(i))
+					break
+				}
+			}
+		}
+		if got := ws.SelectDenseOver(c.n, c.k, c.depth, c.cp, c.bid, ids, floor); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: seeded %v, oracle %v", tag, got, want)
 		}
 	}
 }

@@ -13,8 +13,10 @@ import (
 // concurrent use (each worker owns one).
 type Workspace struct {
 	// Jonker–Volgenant scratch, sized to rows nr and columns
-	// m = nc + nr (one dummy column per row) plus the sentinel.
+	// m = nc + nr (one dummy column per row) plus the sentinel, and the
+	// gathered nr × nc real-cell cost matrix, row-major.
 	u, v, minv []float64
+	cost       []float64
 	p, way     []int
 	used       []bool
 	colOf      []int
@@ -63,20 +65,38 @@ func growBools(s []bool, n int) []bool {
 }
 
 // assignRows is the workspace-backed body of the package-level
-// assignRows (see jv.go for the algorithm commentary). The returned
-// slice is owned by the workspace and valid until the next call.
+// assignRows (see jv.go for the algorithm commentary): it gathers the
+// nr × nc real cells row by row, then solves. The returned slice is
+// owned by the workspace and valid until the next call.
 func (ws *Workspace) assignRows(nr, nc int, weight func(r, c int) float64) []int {
-	m := nc + nr // columns: real ones, then one dummy per row
-	cost := func(r, c int) float64 {
-		if c >= nc {
-			return 0
+	ws.cost = growFloats(ws.cost, nr*nc)
+	cost := ws.cost
+	for r := 0; r < nr; r++ {
+		row := cost[r*nc : (r+1)*nc]
+		for c := range row {
+			row[c] = cellCost(weight(r, c))
 		}
-		w := weight(r, c)
-		if w <= 0 {
-			return 0
-		}
-		return -w
 	}
+	return ws.solveRows(nr, nc)
+}
+
+// cellCost is a real cell's cost: −weight, clamped at zero.
+func cellCost(w float64) float64 {
+	if w <= 0 {
+		return 0
+	}
+	return -w
+}
+
+// solveRows runs the Jonker–Volgenant solve over the nr × nc cost
+// matrix the caller gathered into ws.cost (cellCost per real cell):
+// weight runs once per cell, not once per cell per augmenting step,
+// and the inner loop reads a row slice. The nr dummy
+// columns stay implicit zeros, which keeps the full-graph orientation
+// (nr = n advertisers) at n × k stored cells.
+func (ws *Workspace) solveRows(nr, nc int) []int {
+	m := nc + nr // columns: real ones, then one dummy per row
+	cost := ws.cost
 
 	const inf = 1e308
 	ws.u = growFloats(ws.u, nr)
@@ -104,13 +124,18 @@ func (ws *Workspace) assignRows(nr, nc int, weight func(r, c int) float64) []int
 		for {
 			used[c0] = true
 			r0 := p[c0]
+			row, ur := cost[r0*nc:(r0+1)*nc], u[r0]
 			delta := inf
 			c1 := -1
 			for c := 0; c < m; c++ {
 				if used[c] {
 					continue
 				}
-				cur := cost(r0, c) - u[r0] - v[c]
+				w := 0.0 // dummy column
+				if c < nc {
+					w = row[c]
+				}
+				cur := w - ur - v[c]
 				if cur < minv[c] {
 					minv[c] = cur
 					way[c] = c0
@@ -184,10 +209,17 @@ func (ws *Workspace) AssignCandidatesInto(weight func(i, j int) float64, lists [
 		}
 	}
 	cands := ws.cands
-	// Rows = slots, columns = candidates: the reduced orientation.
-	advOfReduced := ws.assignRows(k, len(cands), func(j, ri int) float64 {
-		return weight(cands[ri], j)
-	})
+	// Rows = slots, columns = candidates, gathered candidate by
+	// candidate so weight reads each advertiser's row once.
+	nc := len(cands)
+	ws.cost = growFloats(ws.cost, k*nc)
+	cost := ws.cost
+	for ri, i := range cands {
+		for j := 0; j < k; j++ {
+			cost[j*nc+ri] = cellCost(weight(i, j))
+		}
+	}
+	advOfReduced := ws.solveRows(k, nc)
 	for j := 0; j < k; j++ {
 		if ri := advOfReduced[j]; ri >= 0 {
 			advOf[j] = cands[ri]

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/budget"
 	"repro/internal/engine"
@@ -53,7 +54,9 @@ func TestStreamBudgetResetEquivalence(t *testing.T) {
 	jcfg := ecfg
 	jcfg.Journal = w
 	sink, got := collectPerKeyword(inst.Keywords)
-	s := NewServer(inst, Config{Engine: jcfg, Sink: sink})
+	// No mid-test flush fence: the default 250 ms flusher would publish
+	// lanes at timing-dependent auction boundaries.
+	s := NewServer(inst, Config{Engine: jcfg, Sink: sink, BudgetFlush: time.Hour})
 	for _, q := range phase1 {
 		s.Submit(q)
 	}
